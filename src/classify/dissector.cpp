@@ -21,7 +21,11 @@ TrafficDissector::TrafficDissector() {
 
 void TrafficDissector::note_host(net::Ipv4Addr server, std::string_view host,
                                  std::uint64_t seq) {
-  auto& hosts = hosts_[server];
+  note_host(hosts_[server], host, seq);
+}
+
+void TrafficDissector::note_host(std::vector<HostObservation>& hosts,
+                                 std::string_view host, std::uint64_t seq) {
   for (auto& seen : hosts) {
     if (seen.name == host) {
       seen.first_seq = std::min(seen.first_seq, seq);
@@ -220,19 +224,22 @@ void TrafficDissector::confirm_https(net::Ipv4Addr addr) {
 }
 
 void TrafficDissector::merge(TrafficDissector&& other) {
-  for (const auto& [addr, info] : other.activity_) {
-    IpActivity& mine = activity_[addr];
-    mine.samples += info.samples;
-    mine.bytes += info.bytes;
-    mine.flags |= info.flags;
-  }
-  for (auto& [addr, hosts] : other.hosts_) {
-    for (const auto& seen : hosts)
-      note_host(addr, seen.name.view(), seen.first_seq);
-  }
+  // An empty receiver (the session absorbing its first shard) takes the
+  // donor's tables by swap; see FlatHashMap::merge for why a non-empty
+  // one reserves for the union first.
+  activity_.merge(std::move(other.activity_),
+                  [](IpActivity& mine, const IpActivity& theirs) {
+                    mine.samples += theirs.samples;
+                    mine.bytes += theirs.bytes;
+                    mine.flags |= theirs.flags;
+                  });
+  hosts_.merge(std::move(other.hosts_),
+               [](std::vector<HostObservation>& mine,
+                  const std::vector<HostObservation>& theirs) {
+                 for (const auto& seen : theirs)
+                   note_host(mine, seen.name.view(), seen.first_seq);
+               });
   total_bytes_ += other.total_bytes_;
-  other.activity_.clear();
-  other.hosts_.clear();
   other.total_bytes_ = 0;
 }
 

@@ -158,6 +158,8 @@ class TrafficDissector {
 
   void note_host(net::Ipv4Addr server, std::string_view host,
                  std::uint64_t seq);
+  static void note_host(std::vector<HostObservation>& hosts,
+                        std::string_view host, std::uint64_t seq);
 
   /// The per-sample update, shared by every ingest form: fields arrive
   /// flat — including the HTTP match verdict, computed exactly once

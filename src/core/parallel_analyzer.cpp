@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/threads.hpp"
+
 namespace ixp::core {
 
 namespace {
@@ -83,12 +85,6 @@ class BatchQueue {
   bool closed_ = false;
   bool aborted_ = false;
 };
-
-unsigned resolve_threads(unsigned requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 /// Captures the first worker exception; later ones are dropped (their
 /// batches are already counted in the per-worker error tallies).

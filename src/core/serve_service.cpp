@@ -2,17 +2,9 @@
 
 #include <utility>
 
+#include "core/threads.hpp"
+
 namespace ixp::core {
-
-namespace {
-
-unsigned resolve_threads(unsigned requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-}  // namespace
 
 ingest::SourceStatus LiveQueueSource::next_batch(ingest::SampleBatch& out) {
   while (queues_->take(envelope_)) {

@@ -8,6 +8,57 @@
 
 namespace ixp::core {
 
+namespace {
+
+/// A run of sorted addresses sharing one route, with the route origin's
+/// locality class (0/1/2 = A(L)/A(M)/A(G)).
+struct RouteRun {
+  const net::Route* route;
+  int locality;
+};
+
+/// One peering IP's evidence, copied out of the activity table.
+struct Observed {
+  net::Ipv4Addr addr;
+  std::uint8_t flags = 0;
+  std::uint64_t bytes = 0;
+};
+
+template <class T>
+std::vector<T>& sort_unique(std::vector<T>& values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
+}
+
+struct DistinctCounts {
+  std::size_t prefixes = 0;
+  std::size_t ases = 0;
+};
+
+/// Fills each locality tally's distinct prefix/AS sets from the runs and
+/// returns the distinct counts over all localities.
+DistinctCounts collect_distinct(const std::vector<RouteRun>& runs,
+                                LocalityTally (&tallies)[3]) {
+  std::vector<net::Ipv4Prefix> prefixes;
+  std::vector<net::Asn> ases;
+  prefixes.reserve(runs.size());
+  ases.reserve(runs.size());
+  for (const RouteRun& run : runs) {
+    prefixes.push_back(run.route->prefix);
+    ases.push_back(run.route->origin);
+    tallies[run.locality].prefixes.push_back(run.route->prefix);
+    tallies[run.locality].ases.push_back(run.route->origin);
+  }
+  for (LocalityTally& tally : tallies) {
+    sort_unique(tally.prefixes);
+    sort_unique(tally.ases);
+  }
+  return DistinctCounts{sort_unique(prefixes).size(), sort_unique(ases).size()};
+}
+
+}  // namespace
+
 WeekSession::WeekSession(VantagePoint& vp, int week)
     : vp_(&vp), week_(week), shard_(*vp.ixp_, week) {}
 
@@ -71,22 +122,20 @@ WeeklyReport VantagePoint::finish_week(WeekShard&& shard,
     }
   };
 
-  std::unordered_set<net::Ipv4Prefix> peering_prefixes;
-  std::unordered_set<net::Asn> peering_ases;
-  std::unordered_set<geo::CountryCode> peering_countries;
-  std::unordered_set<net::Ipv4Prefix> server_prefixes;
-  std::unordered_set<net::Asn> server_ases;
-  std::unordered_set<geo::CountryCode> server_countries;
-
   // Canonical iteration order: sorted by address. Hash-map iteration order
   // depends on insertion history, which differs between shard splits; the
   // sort (plus exact integer byte tallies upstream) is what makes the
   // report — including its floating-point aggregates — bit-identical for
-  // any thread count.
-  std::vector<net::Ipv4Addr> addrs;
-  addrs.reserve(dissector.activity().size());
-  for (const auto& [addr, info] : dissector.activity()) addrs.push_back(addr);
-  std::sort(addrs.begin(), addrs.end());
+  // any thread count. Each entry is copied out once, so the loop below
+  // never probes the activity table again.
+  std::vector<Observed> observed;
+  observed.reserve(dissector.activity().size());
+  for (const auto& [addr, info] : dissector.activity())
+    observed.push_back(Observed{addr, info.flags, info.bytes});
+  std::sort(observed.begin(), observed.end(),
+            [](const Observed& a, const Observed& b) { return a.addr < b.addr; });
+  std::vector<net::Ipv4Addr> addrs(observed.size());
+  for (std::size_t i = 0; i < observed.size(); ++i) addrs[i] = observed[i].addr;
 
   // Attribute every address in one batched LPM pass per table: the flat
   // tables prefetch their own arrays a window ahead, and the loop below
@@ -96,57 +145,81 @@ WeeklyReport VantagePoint::finish_week(WeekShard&& shard,
   routing_->routes_of(addrs, routes);
   geo_->countries_of(addrs, countries);
 
+  // Sorted addresses arrive in runs sharing one route (and one geo
+  // entry), so the per-run work — the tally lookups, the locality class,
+  // the distinct-value bookkeeping — happens once per run, and each
+  // address pays only for its integer and double tallies. A run's route
+  // is recorded when the run starts; the distinct counts come from
+  // sort-unique over those records at the end. A route may recur after
+  // a nested prefix's run (A, B, A), which only records it twice.
+  std::vector<RouteRun> peering_runs;
+  std::vector<RouteRun> server_runs;
+  std::vector<geo::CountryCode> peering_countries;
+  std::vector<geo::CountryCode> server_countries;
+  const net::Route* route_run = nullptr;
+  const net::Route* server_route_run = nullptr;
+  const geo::CountryCode* country_run = nullptr;
+  const geo::CountryCode* server_country_run = nullptr;
+  int li = 0;
+  AsTally* as_tally = nullptr;
+  CountryTally* country_tally = nullptr;
+
   // Host headers per server, collected during aggregation and borrowed by
   // the metadata items below (parallel to report.servers).
   std::vector<std::vector<std::string>> server_hosts;
 
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    const net::Ipv4Addr addr = addrs[i];
-    const classify::IpActivity& info = dissector.activity().at(addr);
-    ++report.peering_ips;
+  report.peering_ips = observed.size();
+  for (std::size_t i = 0; i < observed.size(); ++i) {
+    const classify::IpActivity info{0, observed[i].bytes, observed[i].flags};
     const net::Route* route = routes[i];
     const geo::CountryCode* country = countries[i];
     const bool server = info.web_server();
     const double info_bytes = static_cast<double>(info.bytes);
 
     if (route) {
-      peering_prefixes.insert(route->prefix);
-      peering_ases.insert(route->origin);
-      const int li = locality_index(route->origin);
+      if (route != route_run) {
+        route_run = route;
+        li = locality_index(route->origin);
+        peering_runs.push_back(RouteRun{route, li});
+        as_tally = &report.by_as[route->origin];
+      }
       report.peering_locality[li].ips += 1;
-      report.peering_locality[li].prefixes.insert(route->prefix);
-      report.peering_locality[li].ases.insert(route->origin);
       report.peering_locality[li].bytes += info_bytes;
-      AsTally& as_tally = report.by_as[route->origin];
-      as_tally.ips += 1;
-      as_tally.bytes += info_bytes;
+      as_tally->ips += 1;
+      as_tally->bytes += info_bytes;
       if (server) {
-        as_tally.server_ips += 1;
-        as_tally.server_bytes += info_bytes;
-        server_prefixes.insert(route->prefix);
-        server_ases.insert(route->origin);
+        if (route != server_route_run) {
+          server_route_run = route;
+          server_runs.push_back(RouteRun{route, li});
+        }
+        as_tally->server_ips += 1;
+        as_tally->server_bytes += info_bytes;
         report.server_locality[li].ips += 1;
-        report.server_locality[li].prefixes.insert(route->prefix);
-        report.server_locality[li].ases.insert(route->origin);
         report.server_locality[li].bytes += info_bytes;
       }
     }
     if (country) {
-      peering_countries.insert(*country);
-      CountryTally& tally = report.by_country[*country];
-      tally.ips += 1;
-      tally.bytes += info_bytes;
+      if (country != country_run) {
+        country_run = country;
+        peering_countries.push_back(*country);
+        country_tally = &report.by_country[*country];
+      }
+      country_tally->ips += 1;
+      country_tally->bytes += info_bytes;
       if (server) {
-        tally.server_ips += 1;
-        tally.server_bytes += info_bytes;
-        server_countries.insert(*country);
+        if (country != server_country_run) {
+          server_country_run = country;
+          server_countries.push_back(*country);
+        }
+        country_tally->server_ips += 1;
+        country_tally->server_bytes += info_bytes;
       }
     }
 
     if (!server) continue;
     ++report.server_ips;
     ServerObservation obs;
-    obs.addr = addr;
+    obs.addr = observed[i].addr;
     obs.bytes = info_bytes;
     obs.http = info.http_server();
     obs.https = info.https_server();
@@ -155,9 +228,20 @@ WeeklyReport VantagePoint::finish_week(WeekShard&& shard,
     if (route) obs.asn = route->origin;
     if (country) obs.country = *country;
 
-    server_hosts.push_back(dissector.hosts_of(addr));
+    server_hosts.push_back(dissector.hosts_of(obs.addr));
     report.servers.push_back(std::move(obs));
   }
+
+  const DistinctCounts peering =
+      collect_distinct(peering_runs, report.peering_locality);
+  report.peering_prefixes = peering.prefixes;
+  report.peering_ases = peering.ases;
+  const DistinctCounts servers =
+      collect_distinct(server_runs, report.server_locality);
+  report.server_prefixes = servers.prefixes;
+  report.server_ases = servers.ases;
+  report.peering_countries = sort_unique(peering_countries).size();
+  report.server_countries = sort_unique(server_countries).size();
 
   // ---- metadata harvest ----------------------------------------------------
   // One batched pass over all servers instead of a per-server harvester
@@ -188,12 +272,6 @@ WeeklyReport VantagePoint::finish_week(WeekShard&& shard,
     report.metadata_coverage.add(obs.metadata);
   }
 
-  report.peering_prefixes = peering_prefixes.size();
-  report.peering_ases = peering_ases.size();
-  report.peering_countries = peering_countries.size();
-  report.server_prefixes = server_prefixes.size();
-  report.server_ases = server_ases.size();
-  report.server_countries = server_countries.size();
   return report;
 }
 

@@ -21,7 +21,6 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "classify/dissector.hpp"
@@ -57,11 +56,12 @@ struct AsTally {
   friend bool operator==(const AsTally&, const AsTally&) = default;
 };
 
-/// Per-locality aggregates (Table 3).
+/// Per-locality aggregates (Table 3). `prefixes` and `ases` are the
+/// distinct values, sorted ascending, so == is set equality.
 struct LocalityTally {
   std::size_t ips = 0;
-  std::unordered_set<net::Ipv4Prefix> prefixes;
-  std::unordered_set<net::Asn> ases;
+  std::vector<net::Ipv4Prefix> prefixes;
+  std::vector<net::Asn> ases;
   double bytes = 0.0;
 
   friend bool operator==(const LocalityTally&, const LocalityTally&) = default;
@@ -152,7 +152,9 @@ class WeekSession {
   /// Mints an empty shard of this session's week for a worker thread.
   [[nodiscard]] WeekShard make_shard() const;
 
-  /// Folds a worker shard into the session state.
+  /// Folds a worker shard into the session state, leaving the shard
+  /// empty and reusable. A session that holds nothing yet takes the
+  /// shard's tables whole, in O(1).
   void absorb(WeekShard&& shard) { shard_.merge(std::move(shard)); }
 
   /// Finishes the week: runs the HTTPS prober via `fetch`, harvests

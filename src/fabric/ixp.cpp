@@ -12,7 +12,8 @@ bool Ixp::add_member(Member member) {
     member.port_id = member.asn.value() % 100000 + 1;
   const std::size_t index = members_.size();
   by_asn_.emplace(member.asn, index);
-  by_mac_.emplace(mac_key(member.port_mac), index);
+  by_mac_.try_emplace(mac_key(member.port_mac),
+                      static_cast<std::uint32_t>(index));
   members_.push_back(std::move(member));
   return true;
 }

@@ -16,6 +16,7 @@
 
 #include "net/ipv4.hpp"
 #include "sflow/headers.hpp"
+#include "util/flat_hash_map.hpp"
 
 namespace ixp::fabric {
 
@@ -89,7 +90,8 @@ class Ixp {
 
   std::vector<Member> members_;
   std::unordered_map<net::Asn, std::size_t> by_asn_;
-  std::unordered_map<std::uint64_t, std::size_t> by_mac_;
+  /// Flat: the peering filter probes it for both ends of every sample.
+  util::FlatHashMap<std::uint64_t, std::uint32_t> by_mac_;
   sflow::MacAddr management_mac_ = sflow::MacAddr::from_id(0xFEED0001ULL);
 };
 

@@ -34,46 +34,41 @@ FilterCounters get_counters(wire::Reader& in) {
   return counters;
 }
 
+// LocalityTally keeps its sets sorted and distinct, so they are written
+// as they stand, and a decoded set must be strictly ascending: duplicate
+// or out-of-order entries are damage, not a different spelling of the same
+// set (LocalityTally's == compares the vectors element by element).
 void put_locality(wire::Writer& out, const core::LocalityTally& tally) {
   out.u64(tally.ips);
   out.f64(tally.bytes);
-
-  std::vector<net::Ipv4Prefix> prefixes(tally.prefixes.begin(),
-                                        tally.prefixes.end());
-  std::sort(prefixes.begin(), prefixes.end(),
-            [](const net::Ipv4Prefix& a, const net::Ipv4Prefix& b) {
-              if (a.network().value() != b.network().value())
-                return a.network().value() < b.network().value();
-              return a.length() < b.length();
-            });
-  out.u32(static_cast<std::uint32_t>(prefixes.size()));
-  for (const net::Ipv4Prefix& p : prefixes) {
+  out.u32(static_cast<std::uint32_t>(tally.prefixes.size()));
+  for (const net::Ipv4Prefix& p : tally.prefixes) {
     out.u32(p.network().value());
     out.u8(p.length());
   }
-
-  std::vector<net::Asn> ases(tally.ases.begin(), tally.ases.end());
-  std::sort(ases.begin(), ases.end(), [](net::Asn a, net::Asn b) {
-    return a.value() < b.value();
-  });
-  out.u32(static_cast<std::uint32_t>(ases.size()));
-  for (const net::Asn asn : ases) out.u32(asn.value());
+  out.u32(static_cast<std::uint32_t>(tally.ases.size()));
+  for (const net::Asn asn : tally.ases) out.u32(asn.value());
 }
 
-core::LocalityTally get_locality(wire::Reader& in) {
-  core::LocalityTally tally;
+bool get_locality(wire::Reader& in, core::LocalityTally& tally) {
   tally.ips = in.u64();
   tally.bytes = in.f64();
   const std::uint32_t prefix_count = in.u32();
   for (std::uint32_t i = 0; in.ok() && i < prefix_count; ++i) {
     const std::uint32_t network = in.u32();
     const std::uint8_t length = in.u8();
-    tally.prefixes.insert(net::Ipv4Prefix{net::Ipv4Addr{network}, length});
+    const net::Ipv4Prefix prefix{net::Ipv4Addr{network}, length};
+    if (!tally.prefixes.empty() && !(tally.prefixes.back() < prefix))
+      return false;
+    tally.prefixes.push_back(prefix);
   }
   const std::uint32_t as_count = in.u32();
-  for (std::uint32_t i = 0; in.ok() && i < as_count; ++i)
-    tally.ases.insert(net::Asn{in.u32()});
-  return tally;
+  for (std::uint32_t i = 0; in.ok() && i < as_count; ++i) {
+    const net::Asn asn{in.u32()};
+    if (!tally.ases.empty() && !(tally.ases.back() < asn)) return false;
+    tally.ases.push_back(asn);
+  }
+  return in.ok();
 }
 
 void put_name_list(wire::Writer& out, const std::vector<dns::DnsName>& names) {
@@ -367,8 +362,10 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
     report.by_as.try_emplace(asn, tally);
   }
 
-  for (auto& tally : report.peering_locality) tally = get_locality(in);
-  for (auto& tally : report.server_locality) tally = get_locality(in);
+  for (auto& tally : report.peering_locality)
+    if (!get_locality(in, tally)) return std::nullopt;
+  for (auto& tally : report.server_locality)
+    if (!get_locality(in, tally)) return std::nullopt;
 
   const std::uint32_t server_count = in.u32();
   report.servers.reserve(server_count);

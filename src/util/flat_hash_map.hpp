@@ -102,6 +102,27 @@ class FlatHashMap {
 
   FlatHashMap() = default;
   explicit FlatHashMap(size_type expected) { reserve(expected); }
+  FlatHashMap(const FlatHashMap&) = default;
+  FlatHashMap& operator=(const FlatHashMap&) = default;
+
+  /// Moves leave the source a valid empty map (no slots, size 0), ready
+  /// for reuse — not merely "unspecified" with a stale size().
+  FlatHashMap(FlatHashMap&& other) noexcept { swap(other); }
+  FlatHashMap& operator=(FlatHashMap&& other) noexcept {
+    if (this != &other) {
+      FlatHashMap{std::move(other)}.swap(*this);
+    }
+    return *this;
+  }
+
+  void swap(FlatHashMap& other) noexcept {
+    slots_.swap(other.slots_);
+    used_.swap(other.used_);
+    std::swap(size_, other.size_);
+    std::swap(mask_, other.mask_);
+    std::swap(hash_, other.hash_);
+    std::swap(eq_, other.eq_);
+  }
 
   [[nodiscard]] size_type size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -212,6 +233,33 @@ class FlatHashMap {
   template <class... Args>
   std::pair<iterator, bool> emplace(Args&&... args) {
     return insert(value_type(std::forward<Args>(args)...));
+  }
+
+  /// Folds `other` into this map and leaves it empty: keys only in
+  /// `other` move in, keys in both are combined by `fold(mine, theirs)`.
+  /// An empty receiver takes `other`'s tables in O(1). Otherwise the
+  /// table is grown to fit the union before the first insert: walking a
+  /// larger table in slot order visits keys in home-bucket order, and
+  /// feeding that into a smaller table that doubles as it goes wraps its
+  /// buckets over and over, packing the keys into one ever-longer
+  /// linear-probe cluster — quadratic probing work at week scale.
+  template <class Fold>
+  void merge(FlatHashMap&& other, Fold fold) {
+    if (empty()) {
+      swap(other);  // `other` now holds this map's empty tables
+      return;
+    }
+    reserve(size_ + other.size_);
+    for (size_type i = 0; i < other.slots_.size(); ++i) {
+      if (!other.used_[i]) continue;
+      value_type& theirs = other.slots_[i];
+      auto [it, inserted] = try_emplace(theirs.first);
+      if (inserted)
+        it->second = std::move(theirs.second);
+      else
+        fold(it->second, std::move(theirs.second));
+    }
+    other.clear();
   }
 
   /// Tombstone-free erase: backward shift-deletion. Walks the probe

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -209,6 +210,42 @@ TEST_F(ParallelEngineTest, PairwiseShardMergeIsAssociative) {
 
   expect_matches_baseline(left_report);
   expect_matches_baseline(right_report);
+}
+
+TEST_F(ParallelEngineTest, AbsorbIntoEmptySessionMatchesElementwiseMerge) {
+  auto vp = make_vantage();
+  const std::span<const sflow::FlowSample> week{*samples_};
+  const std::size_t half = week.size() / 2;
+
+  // Empty session: the absorbed shard's tables are taken whole.
+  WeekSession fresh = vp.open_week(kWeek);
+  WeekShard donor = fresh.make_shard();
+  donor.observe_batch(week, 0);
+  fresh.absorb(std::move(donor));
+  EXPECT_EQ(fresh.samples_observed(), week.size());
+  expect_matches_baseline(fresh.finish(fetcher()));
+
+  // The donor is left empty...
+  EXPECT_EQ(donor.samples_observed(), 0u);
+  EXPECT_EQ(donor.counters(), classify::FilterCounters{});
+  EXPECT_TRUE(donor.dissector().activity().empty());
+  EXPECT_EQ(donor.dissector().summarize(), classify::DissectionSummary{});
+  EXPECT_TRUE(donor.dissector().https_candidates().empty());
+
+  // ...and reusable: it observes the week again for another session.
+  donor.observe_batch(week, 0);
+  WeekSession reused = vp.open_week(kWeek);
+  reused.absorb(std::move(donor));
+  expect_matches_baseline(reused.finish(fetcher()));
+
+  // Non-empty session: the shard is folded in key by key.
+  WeekSession partial = vp.open_week(kWeek);
+  partial.observe_batch(week.first(half));
+  WeekShard rest = partial.make_shard();
+  rest.observe_batch(week.subspan(half), half);
+  partial.absorb(std::move(rest));
+  EXPECT_EQ(partial.samples_observed(), week.size());
+  expect_matches_baseline(partial.finish(fetcher()));
 }
 
 TEST_F(ParallelEngineTest, SpanAnalyzerTwoThreadsMatchesBaseline) {

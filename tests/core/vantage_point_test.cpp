@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <set>
+#include <vector>
 
 namespace ixp::core {
 namespace {
@@ -206,6 +209,127 @@ TEST_F(VantagePointTest, UnroutedIpStillCountsAsPeeringIp) {
   EXPECT_EQ(report.peering_ips, 2u);
   EXPECT_EQ(report.peering_ases, 1u);       // only the routed side
   EXPECT_EQ(report.peering_countries, 1u);  // only the located side
+}
+
+TEST_F(VantagePointTest, RunAggregationMatchesSetOracle) {
+  // Nested routes: 10.1.5.0/24 (AS400, no locality entry: global) inside
+  // 10.1.0.0/16 (AS300, near) inside 10.0.0.0/8 (AS100, member), so the
+  // sorted addresses walk the routes 10/8, A, B, A. 30.0.0.0/8 is routed
+  // but not geolocated; 50.0.0.0/8 is geolocated but not routed.
+  routing_.announce(Ipv4Prefix{Ipv4Addr{10, 1, 0, 0}, 16}, Asn{300});
+  routing_.announce(Ipv4Prefix{Ipv4Addr{10, 1, 5, 0}, 24}, Asn{400});
+  routing_.announce(Ipv4Prefix{Ipv4Addr{30, 0, 0, 0}, 8}, Asn{500});
+  locality_[Asn{300}] = net::Locality::kNear;
+  geo_.assign(Ipv4Prefix{Ipv4Addr{10, 1, 0, 0}, 16}, geo::CountryCode{'F', 'R'});
+  geo_.assign(Ipv4Prefix{Ipv4Addr{50, 0, 0, 0}, 8}, geo::CountryCode{'J', 'P'});
+
+  const char* ok = "HTTP/1.1 200 OK\r\nServer: t\r\n";
+  auto vp = make();
+  WeekSession session = vp.open_week(45);
+  // Servers (answering on port 80) in A, in B, after B back in A, in the
+  // ungeolocated /8, and in the unrouted /8; clients and a silent pair
+  // around them.
+  session.observe(sample(Ipv4Addr{10, 1, 0, 1}, Ipv4Addr{10, 0, 0, 1}, 80,
+                         40000, ok, 100));
+  session.observe(sample(Ipv4Addr{10, 1, 5, 1}, Ipv4Addr{10, 0, 0, 1}, 80,
+                         40001, ok, 200));
+  session.observe(sample(Ipv4Addr{10, 1, 5, 7}, Ipv4Addr{20, 0, 0, 1}, 80,
+                         40002, ok, 300));
+  session.observe(sample(Ipv4Addr{10, 1, 9, 1}, Ipv4Addr{20, 0, 0, 2}, 80,
+                         40003, ok, 400));
+  session.observe(sample(Ipv4Addr{30, 0, 0, 1}, Ipv4Addr{10, 1, 9, 2}, 80,
+                         40004, ok, 500));
+  session.observe(sample(Ipv4Addr{50, 0, 0, 1}, Ipv4Addr{20, 0, 0, 1}, 80,
+                         40005, ok, 600));
+  session.observe(sample(Ipv4Addr{10, 1, 9, 3}, Ipv4Addr{10, 1, 5, 9}, 5000,
+                         5001, "", 700));
+
+  // Brute-force oracle over the week's activity in address order.
+  const std::map<Ipv4Addr, classify::IpActivity> activity(
+      session.dissector().activity().begin(),
+      session.dissector().activity().end());
+  const auto locality_of = [&](Asn asn) {
+    const auto it = locality_.find(asn);
+    if (it == locality_.end()) return 2;
+    return it->second == net::Locality::kMember ? 0
+           : it->second == net::Locality::kNear ? 1
+                                                : 2;
+  };
+  std::set<Ipv4Prefix> prefixes[2];
+  std::set<Asn> ases[2];
+  std::set<geo::CountryCode> countries[2];
+  std::set<Ipv4Prefix> locality_prefixes[2][3];
+  std::set<Asn> locality_ases[2][3];
+  std::map<Asn, AsTally> by_as;
+  std::map<geo::CountryCode, CountryTally> by_country;
+  for (const auto& [addr, info] : activity) {
+    const bool server = info.web_server();
+    const double bytes = static_cast<double>(info.bytes);
+    if (const auto route = routing_.route_of(addr)) {
+      const int li = locality_of(route->origin);
+      for (int role = 0; role < (server ? 2 : 1); ++role) {
+        prefixes[role].insert(route->prefix);
+        ases[role].insert(route->origin);
+        locality_prefixes[role][li].insert(route->prefix);
+        locality_ases[role][li].insert(route->origin);
+      }
+      AsTally& tally = by_as[route->origin];
+      tally.ips += 1;
+      tally.bytes += bytes;
+      if (server) {
+        tally.server_ips += 1;
+        tally.server_bytes += bytes;
+      }
+    }
+    if (const auto country = geo_.country_of(addr)) {
+      countries[0].insert(*country);
+      if (server) countries[1].insert(*country);
+      CountryTally& tally = by_country[*country];
+      tally.ips += 1;
+      tally.bytes += bytes;
+      if (server) {
+        tally.server_ips += 1;
+        tally.server_bytes += bytes;
+      }
+    }
+  }
+
+  const auto report = session.finish(no_fetch);
+  EXPECT_EQ(report.peering_ips, activity.size());
+  EXPECT_EQ(report.server_ips, 6u);
+  EXPECT_EQ(report.peering_prefixes, prefixes[0].size());
+  EXPECT_EQ(report.server_prefixes, prefixes[1].size());
+  EXPECT_EQ(report.peering_ases, ases[0].size());
+  EXPECT_EQ(report.server_ases, ases[1].size());
+  EXPECT_EQ(report.peering_countries, countries[0].size());
+  EXPECT_EQ(report.server_countries, countries[1].size());
+  // Hand count: 10/8, A, B, 20/8 and 30/8 are seen; servers sit in A, B
+  // and 30/8, and are located in FR (A and B) and JP (unrouted 50/8).
+  EXPECT_EQ(report.peering_prefixes, 5u);
+  EXPECT_EQ(report.server_prefixes, 3u);
+  EXPECT_EQ(report.server_countries, 2u);
+
+  for (int li = 0; li < 3; ++li) {
+    const LocalityTally* tallies[2] = {&report.peering_locality[li],
+                                       &report.server_locality[li]};
+    for (int role = 0; role < 2; ++role) {
+      EXPECT_EQ(tallies[role]->prefixes,
+                std::vector<Ipv4Prefix>(locality_prefixes[role][li].begin(),
+                                        locality_prefixes[role][li].end()))
+          << "role " << role << " locality " << li;
+      EXPECT_EQ(tallies[role]->ases,
+                std::vector<Asn>(locality_ases[role][li].begin(),
+                                 locality_ases[role][li].end()))
+          << "role " << role << " locality " << li;
+    }
+  }
+
+  ASSERT_EQ(report.by_as.size(), by_as.size());
+  for (const auto& [asn, tally] : by_as)
+    EXPECT_EQ(report.by_as.at(asn), tally) << asn.value();
+  ASSERT_EQ(report.by_country.size(), by_country.size());
+  for (const auto& [code, tally] : by_country)
+    EXPECT_EQ(report.by_country.at(code), tally) << code.packed();
 }
 
 }  // namespace

@@ -210,6 +210,35 @@ TEST_F(SnapshotCodecTest, StrictDecodersRejectTruncationAndPadding) {
   }
 }
 
+TEST(ReportCodec, LocalitySetsMustDecodeStrictlyAscending) {
+  using net::Asn;
+  using net::Ipv4Addr;
+  using net::Ipv4Prefix;
+  const Ipv4Prefix low{Ipv4Addr{10, 0, 0, 0}, 8};
+  const Ipv4Prefix high{Ipv4Addr{10, 1, 0, 0}, 16};
+  const auto decodes = [](const core::LocalityTally& tally) {
+    core::WeeklyReport report;
+    report.server_locality[1] = tally;
+    return SnapshotCodec::decode_report(SnapshotCodec::encode_report(report));
+  };
+
+  core::LocalityTally sorted;
+  sorted.prefixes = {low, high};
+  sorted.ases = {Asn{100}, Asn{200}};
+  const auto decoded = decodes(sorted);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->server_locality[1], sorted);
+
+  // A set the encoder never writes is damage: == compares the vectors
+  // element by element, so accepting it would make equal sets unequal.
+  core::LocalityTally unsorted = sorted;
+  unsorted.prefixes = {high, low};
+  EXPECT_FALSE(decodes(unsorted).has_value());
+  core::LocalityTally duplicated = sorted;
+  duplicated.ases = {Asn{100}, Asn{100}};
+  EXPECT_FALSE(decodes(duplicated).has_value());
+}
+
 TEST(ProvenanceCodec, RoundTripPreservesEveryField) {
   Provenance provenance;
   provenance.format_version = kFormatVersion;

@@ -217,5 +217,125 @@ TEST(FlatHashMap, SteadyStateChurnStaysConsistent) {
   }
 }
 
+TEST(FlatHashMap, MovedFromMapIsEmptyAndReusable) {
+  FlatHashMap<int, int> a;
+  for (int i = 0; i < 100; ++i) a[i] = i;
+
+  FlatHashMap<int, int> b{std::move(a)};
+  EXPECT_EQ(b.size(), 100u);
+  EXPECT_EQ(b.at(42), 42);
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.begin(), a.end());
+  EXPECT_FALSE(a.contains(42));
+  a[7] = 70;
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_EQ(a.at(7), 70);
+
+  FlatHashMap<int, int> c;
+  c[1] = 1;
+  c = std::move(b);
+  EXPECT_EQ(c.size(), 100u);
+  EXPECT_FALSE(c.contains(1000));
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.begin(), b.end());
+  b[3] = 3;
+  EXPECT_EQ(b.size(), 1u);
+  EXPECT_EQ(b.at(3), 3);
+}
+
+TEST(FlatHashMap, MergeFoldsSharedKeysAndEmptiesTheSource) {
+  const auto add = [](int& mine, int theirs) { mine += theirs; };
+
+  // Empty receiver: takes the source's tables.
+  FlatHashMap<int, int> into_empty;
+  FlatHashMap<int, int> source;
+  for (int i = 0; i < 50; ++i) source[i] = i;
+  into_empty.merge(std::move(source), add);
+  EXPECT_EQ(into_empty.size(), 50u);
+  EXPECT_EQ(into_empty.at(49), 49);
+  EXPECT_TRUE(source.empty());
+  EXPECT_EQ(source.begin(), source.end());
+  source[1] = 1;  // still usable
+  EXPECT_EQ(source.size(), 1u);
+
+  // Non-empty receiver: disjoint keys move in, shared keys fold.
+  FlatHashMap<int, int> other;
+  for (int i = 40; i < 60; ++i) other[i] = 100;
+  into_empty.merge(std::move(other), add);
+  EXPECT_EQ(into_empty.size(), 60u);
+  EXPECT_EQ(into_empty.at(10), 10);
+  EXPECT_EQ(into_empty.at(45), 145);
+  EXPECT_EQ(into_empty.at(55), 100);
+  EXPECT_TRUE(other.empty());
+}
+
+/// Equality that counts its calls: every probe step of a lookup or an
+/// insert compares against one occupied slot, so the count is the probe
+/// work, independent of timing.
+struct CountingEq {
+  static inline std::size_t calls = 0;
+  template <class A, class B>
+  bool operator()(const A& a, const B& b) const {
+    ++calls;
+    return a == b;
+  }
+};
+
+TEST(FlatHashMap, BulkMergeProbeWorkStaysLinear) {
+  // A week-sized source at low load (a worker shard's activity table
+  // after its growth doublings): walked in slot order it yields keys in
+  // home-bucket order, which piles a receiver that grows as it goes into
+  // one giant probe cluster (~500 comparisons per key at this size). The
+  // merge must stay a few comparisons per key.
+  using Map = FlatHashMap<std::uint32_t, std::uint32_t,
+                          std::hash<std::uint32_t>, CountingEq>;
+  constexpr std::size_t kKeys = 700'000;
+  const auto make_source = [] {
+    Map source;
+    source.reserve(1'800'000);
+    Rng rng{0x5eed};
+    while (source.size() < kKeys) {
+      const auto key = static_cast<std::uint32_t>(rng());
+      source[key] = 1;
+    }
+    return source;
+  };
+  const auto add = [](std::uint32_t& mine, std::uint32_t theirs) {
+    mine += theirs;
+  };
+
+  {
+    Map source = make_source();
+    EXPECT_NEAR(source.load_factor(), 0.33, 0.01);
+    Map target;
+    CountingEq::calls = 0;
+    target.merge(std::move(source), add);
+    EXPECT_EQ(target.size(), kKeys);
+    EXPECT_LE(CountingEq::calls, 4 * kKeys);
+  }
+  {
+    Map source = make_source();
+    Map target;
+    std::vector<std::uint32_t> keys;
+    for (const auto& [key, value] : source) {
+      keys.push_back(key);
+      if (keys.size() == 500) break;
+    }
+    for (const std::uint32_t key : keys) target[key] = 1;  // shared keys
+    std::size_t expected = kKeys;
+    for (std::uint32_t i = 0; i < 500; ++i) {
+      target[i] = 1;
+      if (!source.contains(i)) ++expected;
+    }
+    CountingEq::calls = 0;
+    target.merge(std::move(source), add);
+    EXPECT_LE(CountingEq::calls, 4 * kKeys);
+    EXPECT_EQ(target.size(), expected);
+    EXPECT_TRUE(source.empty());
+    for (const std::uint32_t key : keys) EXPECT_EQ(target.at(key), 2u) << key;
+  }
+}
+
 }  // namespace
 }  // namespace ixp::util
