@@ -79,7 +79,7 @@ core::WeeklyReport Context::run_week(int week) const {
       core::ParallelOptions options;
       options.threads = static_cast<unsigned>(args.threads);
       core::ParallelAnalyzer analyzer{vp, options};
-      ingest::SpanSource source{stream, options.batch_size};
+      ingest::SpanSource source{stream, 512};
       report = analyzer.analyze(week, source, fetch);
       samples += stream.size();
     } else {

@@ -8,8 +8,9 @@
 //   streamed_legacy_alloc  pre-optimization replica: fresh payload vector
 //                          + allocating decode() per datagram (the shape
 //                          of the reader before the scratch-buffer rework)
-//   streamed_serial        the production TraceReader (reused scratch,
-//                          read_batch) over an istream — serial by nature
+//   streamed_serial        the production TraceReader (the record walk
+//                          over a forward-only window of an istream,
+//                          read_batch) — serial by nature
 //   mapped_serial          one TraceCursor walking the whole mapped body;
 //                          steady-state expectation: 0 allocs/sample
 //   mapped_parallel_N      TraceSegmenter splits the span 2N ways and N

@@ -68,7 +68,7 @@ void bench_week(bench::Suite& suite, const World& w, unsigned threads) {
   suite.run_case("parallel_week/t" + std::to_string(threads), 3,
                  [&](std::uint64_t iters, int) {
                    for (std::uint64_t it = 0; it < iters; ++it) {
-                     ingest::SpanSource source{w.samples, options.batch_size};
+                     ingest::SpanSource source{w.samples, 512};
                      const auto report =
                          analyzer.analyze(kWeek, source, no_probe);
                      bench::keep(report.peering_ips);

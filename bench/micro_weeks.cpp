@@ -48,24 +48,6 @@ constexpr int kFromWeek = 44;
 constexpr int kToWeek = 47;
 constexpr int kWeekCount = kToWeek - kFromWeek + 1;
 
-class OwnedWeekSource final : public ingest::IngestSource {
- public:
-  explicit OwnedWeekSource(std::vector<sflow::FlowSample> samples)
-      : samples_(std::move(samples)), span_(samples_, 512) {}
-
-  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
-    return span_.next_batch(out);
-  }
-  std::vector<std::unique_ptr<ingest::IngestSource>> split(
-      std::size_t want) override {
-    return span_.split(want);
-  }
-
- private:
-  std::vector<sflow::FlowSample> samples_;
-  ingest::SpanSource span_;
-};
-
 /// The test-preset structure with 6x its weekly traffic. The test preset
 /// keeps sample counts tiny so the *unit* suites stay fast, but at that
 /// volume decoding a snapshot is a visible fraction of computing one and
@@ -107,7 +89,8 @@ struct Fixture {
 
   [[nodiscard]] store::WeeksRunner::SourceFactory source_factory() const {
     return [this](int week) -> std::unique_ptr<ingest::IngestSource> {
-      return std::make_unique<OwnedWeekSource>(week_samples.at(week));
+      auto samples = week_samples.at(week);
+      return std::make_unique<ingest::SpanSource>(std::move(samples), 512);
     };
   }
 

@@ -8,14 +8,17 @@
 // order is fixed, the N-thread report is byte-identical to the 1-thread
 // report for any N — the determinism contract the parity tests pin down.
 //
-// One input shape: an ingest::IngestSource. The engine asks the source
-// for a parallel plan (split()); a splittable source — a mapped trace, an
-// in-memory span — hands back sub-sources that workers claim and decode
-// concurrently with no sequence handoff, because every batch carries its
-// own position-derived stream key. A serial source — an istream-backed
-// TraceReader, a pull function, a live socket feed — is pumped by the
-// calling thread through a bounded queue while the workers run the hot
-// path (filtering, HTTP matching, evidence accumulation).
+// One input shape: an ingest::IngestSource, and one worker body for all
+// of them. The engine asks the source for a parallel plan (split()); a
+// splittable source — a mapped trace, an in-memory span — hands back
+// sub-sources that workers claim and decode concurrently with no
+// sequence handoff, because every batch carries its own position-derived
+// stream key. A serial source — an istream-backed TraceReader, a live
+// socket feed — returns no plan, and the workers take turns pulling it
+// under one lock, each copying its batch into its own reused buffer
+// before running the hot path (filtering, HTTP matching, evidence
+// accumulation) outside the lock. Worker 0 is the calling thread, so a
+// single worker runs the body inline and copies nothing.
 //
 // The engine exposes its two halves separately: reduce() is the
 // observation phase alone — fan out, merge, hand back the week's fully
@@ -25,11 +28,14 @@
 // report, which only reduce() can provide.
 //
 // Worker failures are contained (DESIGN.md §8): an exception escaping a
-// worker can never deadlock the bounded queue or terminate the process.
-// By default the queue is aborted, every thread is joined, and the first
-// exception is rethrown on the calling thread. With lenient_workers set,
-// the failing batch is dropped, the week completes, and the report comes
-// back with degraded=true plus per-worker dropped-batch counts.
+// worker can never deadlock the engine or terminate the process. By
+// default the first failure stops every worker at its next batch
+// boundary, every thread is joined, and the exception is rethrown on the
+// calling thread. With lenient_workers set, a batch whose hook or
+// classifier throws is dropped, the week completes, and the report comes
+// back with degraded=true plus per-worker dropped-batch counts. A source
+// whose next_batch() throws always ends the week that way — in strict
+// and lenient mode alike, since a failed pull is not a droppable batch.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +49,9 @@
 namespace ixp::core {
 
 struct ParallelOptions {
-  /// Worker thread count; 0 means std::thread::hardware_concurrency().
+  /// Worker thread count, the calling thread included; 0 means
+  /// std::thread::hardware_concurrency().
   unsigned threads = 1;
-  /// Samples per work unit handed to a worker.
-  std::size_t batch_size = 512;
-  /// Bound on batches buffered between the reader and the workers.
-  std::size_t max_queued_batches = 64;
   /// When false (default), the first worker exception aborts the week and
   /// is rethrown from analyze(). When true, a throwing batch is dropped
   /// and the week completes with WeeklyReport::degraded set.
@@ -66,9 +69,9 @@ class ParallelAnalyzer {
 
   /// Analyzes one week pulled from `source` — the single entry point for
   /// every input shape. The source's split() decides between concurrent
-  /// claim-and-decode (mapped traces, spans) and a pumped bounded queue
-  /// (streamed readers, pull functions, live feeds); either way the
-  /// report is byte-identical for any thread count. Check the source's
+  /// claim-and-decode (mapped traces, spans) and locked turns on one
+  /// serial source (streamed readers, live feeds); either way the report
+  /// is byte-identical for any thread count. Check the source's
   /// ok()/stats() afterwards for ingest health.
   [[nodiscard]] WeeklyReport analyze(int week, ingest::IngestSource& source,
                                      const classify::ChainFetcher& fetch);

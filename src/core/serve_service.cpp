@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "core/threads.hpp"
+#include "util/threads.hpp"
 
 namespace ixp::core {
 
@@ -59,7 +59,7 @@ ServeService::~ServeService() {
 void ServeService::start() {
   if (started_) return;
   started_ = true;
-  const unsigned threads = resolve_threads(options_.threads);
+  const unsigned threads = util::resolve_threads(options_.threads);
   slots_.reserve(threads);
   sources_.reserve(threads);
   workers_.reserve(threads);

@@ -56,45 +56,22 @@ class MappedSource::SegmentSource final : public IngestSource {
   sflow::ReaderStats* slot_;
 };
 
-void MappedSource::segment(std::size_t want) {
-  segments_ = sflow::TraceSegmenter::split(bytes_, want);
-  per_segment_.assign(segments_.size(), sflow::ReaderStats{});
-  segmented_ = true;
-}
-
 SourceStatus MappedSource::next_batch(SampleBatch& out) {
   if (!segmented_) {
-    // Serial pull: one segment, exactly the streamed reader's walk.
-    segment(1);
-    serial_segment_ = 0;
-    cursor_.reset();
+    auto parts = split(1);
+    if (!parts.empty()) serial_ = std::move(parts.front());
   }
-  while (serial_segment_ < segments_.size()) {
-    if (!cursor_) {
-      cursor_ = std::make_unique<sflow::TraceCursor>(
-          bytes_, segments_[serial_segment_], sflow::ReadPolicy::lenient());
-    }
-    std::uint64_t seq_base = 0;
-    const auto samples = cursor_->read_record(seq_base);
-    per_segment_[serial_segment_] = cursor_->stats();
-    if (!samples.empty()) {
-      out.samples = samples;
-      out.first_seq = seq_base;
-      return SourceStatus::kBatch;
-    }
-    cursor_.reset();
-    ++serial_segment_;
-  }
-  return SourceStatus::kEnd;
+  return serial_ ? serial_->next_batch(out) : SourceStatus::kEnd;
 }
 
 std::vector<std::unique_ptr<IngestSource>> MappedSource::split(
     std::size_t want) {
   std::vector<std::unique_ptr<IngestSource>> parts;
   if (want == 0) return parts;
-  segment(want);
-  serial_segment_ = segments_.size();  // the parent's remainder is spoken for
-  cursor_.reset();
+  serial_.reset();  // its stats slot is about to be reallocated
+  segments_ = sflow::TraceSegmenter::split(bytes_, want);
+  per_segment_.assign(segments_.size(), sflow::ReaderStats{});
+  segmented_ = true;
   parts.reserve(segments_.size());
   for (std::size_t s = 0; s < segments_.size(); ++s) {
     parts.push_back(std::make_unique<SegmentSource>(bytes_, segments_[s],

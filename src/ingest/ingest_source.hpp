@@ -30,14 +30,13 @@
 //     consumable sub-sources; worker threads claim and drain them with
 //     no cross-worker sequence handoff, because every batch carries its
 //     own position-derived key. A serial source (an istream, a socket
-//     feed) returns an empty vector and the analyzer pumps it from one
-//     thread instead. Sub-sources borrow the parent (which must outlive
-//     them) and partition its accounting; after a split() the parent
-//     itself must not be pulled again.
+//     feed) returns an empty vector, and the analyzer's workers take
+//     turns pulling it under one lock instead. Sub-sources borrow the
+//     parent (which must outlive them) and partition its accounting;
+//     after a split() the parent itself must not be pulled again.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -82,36 +81,13 @@ class IngestSource {
 
   /// Cuts the remaining stream into up to `want` sub-sources that may be
   /// consumed concurrently (each by one thread). Empty means the source
-  /// is serial and must be pumped. Default: serial.
+  /// is serial and must be pulled by one thread at a time. Default:
+  /// serial.
   [[nodiscard]] virtual std::vector<std::unique_ptr<IngestSource>> split(
       std::size_t want) {
     (void)want;
     return {};
   }
-};
-
-/// Adapts a pull function (anything that can fill a vector of samples)
-/// with running-counter stream keys: the callable clears and refills the
-/// vector, returning the number delivered (0 = end).
-class FunctionSource final : public IngestSource {
- public:
-  using Fn = std::function<std::size_t(std::vector<sflow::FlowSample>&)>;
-
-  explicit FunctionSource(Fn fn) : fn_(std::move(fn)) {}
-
-  SourceStatus next_batch(SampleBatch& out) override {
-    const std::size_t n = fn_(scratch_);
-    if (n == 0) return SourceStatus::kEnd;
-    out.samples = std::span<const sflow::FlowSample>{scratch_.data(), n};
-    out.first_seq = next_seq_;
-    next_seq_ += n;
-    return SourceStatus::kBatch;
-  }
-
- private:
-  Fn fn_;
-  std::vector<sflow::FlowSample> scratch_;
-  std::uint64_t next_seq_ = 0;
 };
 
 /// Adapts an in-memory sample span: fixed-size batches with running-index
@@ -120,11 +96,22 @@ class FunctionSource final : public IngestSource {
 /// report stays byte-identical for any split.
 class SpanSource final : public IngestSource {
  public:
+  /// Borrows `samples`, which must outlive the source.
   SpanSource(std::span<const sflow::FlowSample> samples,
              std::size_t batch_size, std::uint64_t base_seq = 0)
       : samples_(samples),
         batch_size_(batch_size == 0 ? 1 : batch_size),
         base_seq_(base_seq) {}
+
+  /// Owns `samples` (a generated week handed to the engine whole).
+  SpanSource(std::vector<sflow::FlowSample>&& samples, std::size_t batch_size)
+      : owned_(std::move(samples)),
+        samples_(owned_),
+        batch_size_(batch_size == 0 ? 1 : batch_size),
+        base_seq_(0) {}
+
+  SpanSource(const SpanSource&) = delete;
+  SpanSource& operator=(const SpanSource&) = delete;
 
   SourceStatus next_batch(SampleBatch& out) override {
     if (cursor_ >= samples_.size()) return SourceStatus::kEnd;
@@ -138,6 +125,7 @@ class SpanSource final : public IngestSource {
   std::vector<std::unique_ptr<IngestSource>> split(std::size_t want) override;
 
  private:
+  std::vector<sflow::FlowSample> owned_;  ///< empty when borrowing
   std::span<const sflow::FlowSample> samples_;
   std::size_t batch_size_;
   std::uint64_t base_seq_;
@@ -154,9 +142,9 @@ class ReaderSource final : public IngestSource {
 
   SourceStatus next_batch(SampleBatch& out) override {
     std::uint64_t seq_base = 0;
-    const std::size_t n = reader_->read_record(scratch_, seq_base);
-    if (n == 0) return SourceStatus::kEnd;
-    out.samples = std::span<const sflow::FlowSample>{scratch_.data(), n};
+    const auto samples = reader_->read_record(seq_base);
+    if (samples.empty()) return SourceStatus::kEnd;
+    out.samples = samples;
     out.first_seq = seq_base;
     return SourceStatus::kBatch;
   }
@@ -168,16 +156,16 @@ class ReaderSource final : public IngestSource {
 
  private:
   sflow::TraceReader* reader_;
-  std::vector<sflow::FlowSample> scratch_;
 };
 
 /// Adapts a mapped trace. split() cuts the byte span on plausible record
 /// boundaries (TraceSegmenter) into per-segment cursor sources that
-/// decode concurrently; serially pulled, it walks the same single
-/// segment the streamed reader would. Segments always decode leniently —
-/// one segment cannot know the others' error count — so the policy is a
-/// post-hoc budget on the summed taxonomy: within_budget() (and ok())
-/// report whether the whole-trace error count stayed inside it.
+/// decode concurrently; serially pulled, it drains its own split(1) —
+/// the single segment the streamed reader walks. Segments always decode
+/// leniently — one segment cannot know the others' error count — so the
+/// policy is a post-hoc budget on the summed taxonomy: within_budget()
+/// (and ok()) report whether the whole-trace error count stayed inside
+/// it.
 /// Per-segment stats partition the whole-file accounting exactly:
 ///   trace size == 12 + total.bytes_delivered + total.bytes_skipped.
 class MappedSource final : public IngestSource {
@@ -219,17 +207,12 @@ class MappedSource final : public IngestSource {
  private:
   class SegmentSource;
 
-  /// Lays out segments and their stats slots; idempotent guard for the
-  /// serial path (split() overwrites any serial layout).
-  void segment(std::size_t want);
-
   std::span<const std::byte> bytes_;
   sflow::ReadPolicy policy_;
   std::vector<sflow::TraceSegment> segments_;
   std::vector<sflow::ReaderStats> per_segment_;
-  // Serial-pull state.
-  std::unique_ptr<sflow::TraceCursor> cursor_;
-  std::size_t serial_segment_ = 0;
+  /// The split(1) part serial pulls drain; split() discards it.
+  std::unique_ptr<IngestSource> serial_;
   bool segmented_ = false;
 };
 

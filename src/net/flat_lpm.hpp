@@ -15,16 +15,11 @@
 // util::HugeArray — explicit or transparent huge pages when the host
 // grants them, 4 KiB pages otherwise. On hosts where huge pages never
 // materialize (most VMs), random top-array loads miss the TLB almost
-// every time, so a small direct-mapped RESULT CACHE sits in front of the
-// table: 2^15 slots x 8 bytes = 256 KiB, resident in L2 and a handful of
-// TLB entries. Each slot packs (addr:32 | epoch:8 | entry:24) into one
-// relaxed std::atomic<uint64_t>, making concurrent lookups race-free: a
-// reader either sees a whole valid word or misses. Inserts invalidate by
-// bumping the epoch byte (full clear on wrap), so stale hits are
-// impossible; the cache disables itself in the (absurd) case of 2^24-1
-// payloads, where an index no longer fits its 24 bits. Sampled traffic
-// concentrates on popular prefixes, so attribution batches hit the cache
-// for a fraction of the cost of a page-walking table load.
+// every time; lookup_batch hides that latency by software pipelining
+// (top-array lines prefetched ahead, spill lines a stage ahead) rather
+// than by caching results — its one production caller, the week's
+// finish, passes sorted distinct addresses, which a result cache almost
+// never hits (DESIGN.md §14.5).
 //
 // Inserts are incremental (no rebuild): an insert of /L overwrites a
 // covered entry only when the entry's current match is no longer than L,
@@ -35,7 +30,7 @@
 // RouteViews-sized build does not grow vectors hundreds of times.
 //
 // Thread model: identical to PrefixTrie — concurrent lookups are safe
-// (the result cache is atomic), inserts require exclusive access.
+// (they only read), inserts require exclusive access.
 //
 // PrefixTrie and LengthIndexedLpm remain in the tree as correctness
 // oracles (DESIGN.md ablation #4); the randomized differential test in
@@ -43,9 +38,7 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -76,11 +69,8 @@ class FlatLpm {
   /// Inserts or overwrites the payload at `prefix`. First insert
   /// allocates the 64 MiB top array; an empty table costs nothing.
   void insert(Ipv4Prefix prefix, T value) {
-    if (top_.empty()) {
+    if (top_.empty())
       top_ = util::HugeArray<std::uint32_t>(kTopSlots, kNoMatch);
-      cache_.reset(new std::atomic<std::uint64_t>[kCacheSlots]());
-    }
-    invalidate_cache();
 
     const auto exact = exact_.find(prefix);
     if (exact != exact_.end()) {
@@ -93,9 +83,6 @@ class FlatLpm {
     values_.push_back(std::move(value));
     prefixes_.push_back(prefix);
     exact_.try_emplace(prefix, index);
-    // A payload index must fit the cache's 24 entry bits; past that the
-    // cache turns itself off rather than alias indices.
-    if (values_.size() >= kCacheNoMatch) cache_.reset();
 
     const std::uint32_t net = prefix.network().value();
     const std::uint8_t len = prefix.length();
@@ -137,11 +124,11 @@ class FlatLpm {
     }
   }
 
-  /// Longest-prefix match, pointer form: one result-cache probe, falling
-  /// back to one top-array load plus one spill load when the /24 slot
-  /// holds any more-specific route. Stable until the next insert.
+  /// Longest-prefix match, pointer form: one top-array load, plus one
+  /// spill load when the /24 slot holds any more-specific route. Stable
+  /// until the next insert.
   [[nodiscard]] const T* lookup_ptr(Ipv4Addr addr) const noexcept {
-    const std::uint32_t entry = cached_slot_of(addr);
+    const std::uint32_t entry = slot_of(addr);
     return entry == kNoMatch ? nullptr : &values_[entry];
   }
 
@@ -153,7 +140,7 @@ class FlatLpm {
   /// The most specific stored prefix containing `addr`, with its payload.
   [[nodiscard]] std::optional<std::pair<Ipv4Prefix, T>> lookup_prefix(
       Ipv4Addr addr) const {
-    const std::uint32_t entry = cached_slot_of(addr);
+    const std::uint32_t entry = slot_of(addr);
     if (entry == kNoMatch) return std::nullopt;
     return std::pair<Ipv4Prefix, T>{prefixes_[entry], values_[entry]};
   }
@@ -164,42 +151,16 @@ class FlatLpm {
     return it == exact_.end() ? nullptr : &values_[it->second];
   }
 
-  /// Batched lookup: out[i] = lookup_ptr(addrs[i]). Runs in chunks of
-  /// two passes: a result-cache sweep that resolves hits and prefetches
-  /// the top-array lines of the misses, then a software-pipelined table
-  /// walk over the misses alone (spill blocks prefetched a stage ahead),
-  /// which also refills the cache. Requires out.size() >= addrs.size().
+  /// Batched lookup: out[i] = lookup_ptr(addrs[i]), software-pipelined
+  /// so many top-array and spill loads are in flight at once (see
+  /// walk_range). Requires out.size() >= addrs.size().
   void lookup_batch(std::span<const Ipv4Addr> addrs,
                     std::span<const T*> out) const noexcept {
-    const std::size_t n = addrs.size();
     if (top_.empty()) {
-      std::fill_n(out.begin(), n, nullptr);
+      std::fill_n(out.begin(), addrs.size(), nullptr);
       return;
     }
-    if (!cache_) {
-      walk_range(addrs, out);
-      return;
-    }
-    const std::uint8_t epoch = cache_epoch_;
-    std::uint16_t miss[kChunk];
-    for (std::size_t base = 0; base < n; base += kChunk) {
-      const std::size_t m = std::min(kChunk, n - base);
-      std::size_t misses = 0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const std::uint32_t addr = addrs[base + i].value();
-        const std::uint64_t word =
-            cache_[cache_slot(addr)].load(std::memory_order_relaxed);
-        if ((word >> 32) == addr &&
-            static_cast<std::uint8_t>(word >> 24) == epoch) {
-          const std::uint32_t entry =
-              static_cast<std::uint32_t>(word) & kCacheNoMatch;
-          out[base + i] = entry == kCacheNoMatch ? nullptr : &values_[entry];
-        } else {
-          miss[misses++] = static_cast<std::uint16_t>(i);
-        }
-      }
-      walk_misses(addrs, out, base, miss, misses);
-    }
+    walk_range(addrs, out);
   }
 
   /// Distinct stored prefixes.
@@ -210,12 +171,11 @@ class FlatLpm {
     return spill_.size() >> 8;
   }
 
-  /// Bytes held by the table arrays (top + spill + payload pool + cache).
+  /// Bytes held by the table arrays (top + spill + payload pool).
   [[nodiscard]] std::size_t footprint_bytes() const noexcept {
     return top_.size() * sizeof(std::uint32_t) +
            spill_.size() * sizeof(std::uint32_t) +
-           values_.size() * sizeof(T) + prefixes_.size() * sizeof(Ipv4Prefix) +
-           (cache_ ? kCacheSlots * sizeof(std::uint64_t) : 0);
+           values_.size() * sizeof(T) + prefixes_.size() * sizeof(Ipv4Prefix);
   }
 
   /// What backs the top array (huge pages or the 4 KiB fallback).
@@ -248,16 +208,6 @@ class FlatLpm {
   static constexpr std::uint32_t kNoMatch = 0x7FFFFFFFu;
   static constexpr std::uint32_t kSpillBit = 0x80000000u;
 
-  // Result cache: direct-mapped, 2^15 slots, one 64-bit word each —
-  // (addr:32 | epoch:8 | entry:24). Epoch 0 never becomes current, so
-  // zero-initialized slots can never fake a hit.
-  static constexpr std::size_t kCacheBits = 15;
-  static constexpr std::size_t kCacheSlots = std::size_t{1} << kCacheBits;
-  static constexpr std::uint32_t kCacheNoMatch = 0x00FFFFFFu;
-  /// lookup_batch chunk: bounds the on-stack miss list and keeps the
-  /// cache-probe pass and the walk pass within one L1 working set.
-  static constexpr std::size_t kChunk = 1024;
-
   /// May a /`len` insert overwrite `entry`? Yes when the entry is empty
   /// or its current match is no more specific. (Equal length implies the
   /// same prefix over any shared range, and distinct prefixes reach here
@@ -267,41 +217,7 @@ class FlatLpm {
     return entry == kNoMatch || prefixes_[entry].length() <= len;
   }
 
-  [[nodiscard]] static std::size_t cache_slot(std::uint32_t addr) noexcept {
-    return static_cast<std::size_t>(
-        (addr * 0x9e3779b97f4a7c15ULL) >> (64 - kCacheBits));
-  }
-
-  /// Writes one cache word. Callers that fill in bulk mark the cache
-  /// touched once via mark_touched() instead of per word.
-  void cache_fill(std::uint32_t addr, std::uint32_t entry) const noexcept {
-    const std::uint64_t packed =
-        (static_cast<std::uint64_t>(addr) << 32) |
-        (static_cast<std::uint64_t>(cache_epoch_) << 24) |
-        (entry == kNoMatch ? kCacheNoMatch : entry);
-    cache_[cache_slot(addr)].store(packed, std::memory_order_relaxed);
-  }
-
-  void mark_touched() const noexcept {
-    if (!cache_touched_.load(std::memory_order_relaxed))
-      cache_touched_.store(true, std::memory_order_relaxed);
-  }
-
-  /// Insert-side invalidation: bump the epoch byte (all cached words go
-  /// stale at once), hard-clearing only on wrap so the amortized cost is
-  /// one 256 KiB sweep per 255 insert bursts. Skipped entirely while no
-  /// lookup has touched the cache — a bulk build pays nothing.
-  void invalidate_cache() noexcept {
-    if (!cache_ || !cache_touched_.load(std::memory_order_relaxed)) return;
-    if (++cache_epoch_ == 0) {
-      for (std::size_t i = 0; i < kCacheSlots; ++i)
-        cache_[i].store(0, std::memory_order_relaxed);
-      cache_epoch_ = 1;
-    }
-    cache_touched_.store(false, std::memory_order_relaxed);
-  }
-
-  /// Uncached resolve: one top load, one spill load when fanned out.
+  /// Resolve: one top load, one spill load when fanned out.
   [[nodiscard]] std::uint32_t slot_of(Ipv4Addr addr) const noexcept {
     if (top_.empty()) return kNoMatch;
     std::uint32_t entry = top_[addr.value() >> 8];
@@ -311,29 +227,10 @@ class FlatLpm {
     return entry;
   }
 
-  /// Cache-probing resolve used by the scalar lookup forms. Read-only:
-  /// a hit rides whatever lookup_batch last filled, but a miss walks the
-  /// table without refilling — the scalar forms are the cold minority,
-  /// and skipping the fill keeps them from dirtying cache lines (and
-  /// paying the store) on workloads that never repeat an address.
-  [[nodiscard]] std::uint32_t cached_slot_of(Ipv4Addr a) const noexcept {
-    if (!cache_) return slot_of(a);
-    const std::uint32_t addr = a.value();
-    const std::uint64_t word =
-        cache_[cache_slot(addr)].load(std::memory_order_relaxed);
-    if ((word >> 32) == addr &&
-        static_cast<std::uint8_t>(word >> 24) == cache_epoch_) {
-      const std::uint32_t entry =
-          static_cast<std::uint32_t>(word) & kCacheNoMatch;
-      return entry == kCacheNoMatch ? kNoMatch : entry;
-    }
-    return slot_of(a);
-  }
-
-  /// The software-pipelined whole-range walk (cache disabled): top
-  /// entries are staged kStage iterations early so a spill block's line
-  /// is already in flight when its turn comes, and top lines prefetched
-  /// kTopAhead ahead of the stage.
+  /// The software-pipelined whole-range walk: top entries are staged
+  /// kStage iterations early so a spill block's line is already in
+  /// flight when its turn comes, and top lines prefetched kTopAhead ahead
+  /// of the stage.
   void walk_range(std::span<const Ipv4Addr> addrs,
                   std::span<const T*> out) const noexcept {
     const std::size_t n = addrs.size();
@@ -368,63 +265,11 @@ class FlatLpm {
     }
   }
 
-  /// The same pipeline over one chunk's cache misses (indices `miss[0..k)`
-  /// relative to `base`): top lines prefetched kTopAhead entries before
-  /// the stage reads them, spill lines a stage before resolution. The
-  /// probe pass must NOT prefetch — a near-all-miss chunk would issue a
-  /// thousand prefetches at once, overflow the prefetch queue, and have
-  /// them silently dropped; bounded lookahead here keeps them in flight.
-  void walk_misses(std::span<const Ipv4Addr> addrs, std::span<const T*> out,
-                   std::size_t base, const std::uint16_t* miss,
-                   std::size_t k) const noexcept {
-    constexpr std::size_t kStage = 8;
-    constexpr std::size_t kTopAhead = 16;
-    std::uint32_t staged[kStage];
-    if (k > 0) mark_touched();
-
-    const auto top_prefetch = [&](std::size_t j) noexcept {
-      if (j + kTopAhead < k)
-        __builtin_prefetch(&top_[addrs[base + miss[j + kTopAhead]].value() >> 8]);
-    };
-
-    const auto stage = [&](std::size_t j) noexcept {
-      const std::uint32_t addr = addrs[base + miss[j]].value();
-      const std::uint32_t entry = top_[addr >> 8];
-      staged[j % kStage] = entry;
-      if (entry & kSpillBit)
-        __builtin_prefetch(
-            &spill_[(static_cast<std::size_t>(entry & ~kSpillBit) << 8) |
-                    (addr & 0xFFu)]);
-    };
-
-    const std::size_t lead = std::min(kStage, k);
-    for (std::size_t j = 0; j < lead; ++j) {
-      top_prefetch(j);
-      stage(j);
-    }
-    for (std::size_t i = 0; i < k; ++i) {
-      top_prefetch(i + kStage);
-      std::uint32_t entry = staged[i % kStage];
-      if (i + kStage < k) stage(i + kStage);
-      const std::size_t at = base + miss[i];
-      const std::uint32_t addr = addrs[at].value();
-      if (entry & kSpillBit)
-        entry = spill_[(static_cast<std::size_t>(entry & ~kSpillBit) << 8) |
-                       (addr & 0xFFu)];
-      out[at] = entry == kNoMatch ? nullptr : &values_[entry];
-      cache_fill(addr, entry);
-    }
-  }
-
   util::HugeArray<std::uint32_t> top_;  // 2^24 entries, lazily allocated
   std::vector<std::uint32_t> spill_;    // 256-entry blocks for /25–/32
   std::vector<T> values_;               // payload pool, indexed by entries
   std::vector<Ipv4Prefix> prefixes_;    // parallel: matched prefix + length
   util::FlatHashMap<Ipv4Prefix, std::uint32_t> exact_;  // prefix -> index
-  // Result cache (mutable: lookups fill it; atomic: lookups race safely).
-  mutable std::unique_ptr<std::atomic<std::uint64_t>[]> cache_;
-  mutable std::atomic<bool> cache_touched_{false};
-  std::uint8_t cache_epoch_ = 1;
 };
 
 }  // namespace ixp::net

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "dns/uri.hpp"
 #include "util/flat_hash_map.hpp"
+#include "util/threads.hpp"
 
 namespace ixp::probe {
 
@@ -131,31 +131,18 @@ MetadataPassResult MetadataPass::run(
   const std::size_t chunk_count = (items.size() + chunk - 1) / chunk;
   std::vector<MetadataShard> shards(chunk_count);
 
-  const auto run_one = [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t size = std::min(chunk, items.size() - begin);
-    shards[c] =
-        run_chunk(items.subspan(begin, size), result.metadata.data() + begin);
-  };
-
-  const std::size_t threads =
-      std::min<std::size_t>(std::max(1u, options_.threads), chunk_count);
-  if (threads <= 1) {
-    for (std::size_t c = 0; c < chunk_count; ++c) run_one(c);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      pool.emplace_back([&] {
-        for (std::size_t c = next.fetch_add(1); c < chunk_count;
-             c = next.fetch_add(1)) {
-          run_one(c);
-        }
-      });
+  const auto threads = static_cast<unsigned>(
+      std::min<std::size_t>(std::max(1u, options_.threads), chunk_count));
+  std::atomic<std::size_t> next{0};
+  util::run_workers(threads, [&](unsigned) {
+    for (std::size_t c = next.fetch_add(1); c < chunk_count;
+         c = next.fetch_add(1)) {
+      const std::size_t begin = c * chunk;
+      const std::size_t size = std::min(chunk, items.size() - begin);
+      shards[c] = run_chunk(items.subspan(begin, size),
+                            result.metadata.data() + begin);
     }
-    for (std::thread& worker : pool) worker.join();
-  }
+  });
 
   for (const MetadataShard& shard : shards) result.shard.merge(shard);
   return result;

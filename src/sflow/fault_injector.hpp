@@ -13,8 +13,10 @@
 //   - reordered (swapped) adjacent records,
 //   - a mid-file EOF that cuts the trace inside a record.
 //
-// This is the adversary the TraceReader resynchronization path (DESIGN.md
-// §8) is tested against, and what `ixpscope corrupt` exposes on the CLI.
+// This is the adversary the record walk's resynchronization (DESIGN.md
+// §8; TraceCursor, which both the streamed TraceReader and the mapped
+// ingest path run) is tested against, and what `ixpscope corrupt`
+// exposes on the CLI.
 #pragma once
 
 #include <cstdint>

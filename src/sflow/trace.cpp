@@ -1,8 +1,11 @@
 #include "sflow/trace.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <vector>
+
+#include "sflow/trace_segment.hpp"
 
 namespace ixp::sflow {
 
@@ -13,19 +16,6 @@ void put_u32(std::ostream& out, std::uint32_t v) {
       static_cast<char>(v >> 24), static_cast<char>((v >> 16) & 0xff),
       static_cast<char>((v >> 8) & 0xff), static_cast<char>(v & 0xff)};
   out.write(bytes.data(), bytes.size());
-}
-
-std::uint32_t be32(const char* bytes) {
-  return (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[0])) << 24) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[1])) << 16) |
-         (static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[2])) << 8) |
-         static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[3]));
-}
-
-std::optional<std::uint32_t> get_u32(std::istream& in) {
-  std::array<char, 4> bytes{};
-  if (!in.read(bytes.data(), bytes.size())) return std::nullopt;
-  return be32(bytes.data());
 }
 
 }  // namespace
@@ -57,36 +47,60 @@ void TraceWriter::flush() {
   pending_.samples.clear();
 }
 
-TraceReader::TraceReader(std::istream& in, ReadPolicy policy) {
-  reset(in, policy);
+TraceCursor::TraceCursor(std::span<const std::byte> trace, TraceSegment seg,
+                         ReadPolicy policy) {
+  reset(trace, seg, policy);
 }
 
-void TraceReader::reset(std::istream& in, ReadPolicy policy) {
-  in_ = &in;
+void TraceCursor::reset(std::span<const std::byte> trace, TraceSegment seg,
+                        ReadPolicy policy) {
+  trace_ = trace;
+  base_ = 0;
+  in_ = nullptr;
+  seg_ = seg;
   policy_ = policy;
   stats_ = ReaderStats{};
-  ok_ = false;
-  pos_ = 0;
-  cursor_ = 0;
+  ok_ = true;
+  pos_ = seg.begin;
   current_.samples.clear();
   current_.counters.clear();
-  current_offset_ = 0;
-  char magic[sizeof kTraceMagic] = {};
-  if (!in_->read(magic, sizeof magic) ||
-      std::memcmp(magic, kTraceMagic, sizeof magic) != 0) {
-    ++stats_.bad_magic;
-    return;
-  }
-  const auto version = get_u32(*in_);
-  if (!version || *version != kTraceVersion) {
-    ++stats_.bad_magic;
-    return;
-  }
-  pos_ = kTraceHeaderBytes;
-  ok_ = true;
+  current_offset_ = seg.begin;
 }
 
-bool TraceReader::spend_error() {
+void TraceCursor::reset(std::istream& in, ReadPolicy policy) {
+  // The segment stays open-ended until the window meets end of input.
+  reset({}, {0, std::numeric_limits<std::uint64_t>::max()}, policy);
+  ok_ = false;
+  in_ = &in;
+  ensure(0);
+  if (end() < kTraceHeaderBytes ||
+      std::memcmp(trace_.data(), kTraceMagic, sizeof kTraceMagic) != 0 ||
+      load_be32(trace_.data() + sizeof kTraceMagic) != kTraceVersion) {
+    ++stats_.bad_magic;
+    return;
+  }
+  ok_ = true;
+  pos_ = seg_.begin = current_offset_ = kTraceHeaderBytes;
+}
+
+void TraceCursor::slide(std::uint64_t at) {
+  if (!window_) window_.reset(new std::byte[TraceReader::kWindowBytes]);
+  const auto keep = static_cast<std::size_t>(end() - at);
+  if (at != base_)
+    std::memmove(window_.get(), trace_.data() + (at - base_), keep);
+  in_->read(reinterpret_cast<char*>(window_.get() + keep),
+            static_cast<std::streamsize>(TraceReader::kWindowBytes - keep));
+  const std::size_t filled = keep + static_cast<std::size_t>(in_->gcount());
+  base_ = at;
+  trace_ = {window_.get(), filled};
+  if (filled < TraceReader::kWindowBytes) {
+    // The stream ended: the window now holds all the input there is.
+    in_ = nullptr;
+    seg_.end = std::min(seg_.end, end());
+  }
+}
+
+bool TraceCursor::spend_error() {
   if (stats_.errors() > policy_.max_errors) {
     ok_ = false;
     return false;
@@ -95,81 +109,59 @@ bool TraceReader::spend_error() {
 }
 
 // Scans forward from the byte after `bad_record_start` for the next
-// offset where a plausible record begins: a length prefix in
-// [kMinDatagramBytes, kMaxDatagramBytes] whose payload starts with the
-// sFlow version word and decodes cleanly. On success the stream is
-// repositioned at that offset and the skipped gap is accounted; on EOF
-// everything from the bad record to the end of input is skipped.
-bool TraceReader::resync(std::uint64_t bad_record_start) {
-  std::uint64_t candidate = bad_record_start + 1;
-  while (true) {
-    in_->clear();
-    in_->seekg(static_cast<std::streamoff>(candidate));
-    char head[8];
-    in_->read(head, sizeof head);
-    const auto got = static_cast<std::uint64_t>(in_->gcount());
-    if (got < sizeof head) {
-      // Fewer than 8 bytes remain: no record fits here or anywhere later.
-      stats_.bytes_skipped += candidate + got - bad_record_start;
-      pos_ = candidate + got;
-      return false;
+// offset where a plausible record begins (plausible_record_at). On
+// success the skipped gap is charged and the cursor is repositioned at
+// the plausible record; when fewer than 8 bytes remain anywhere ahead,
+// everything from the bad record to the end of the trace is skipped
+// without counting a resync. For a non-final segment the scan can never
+// cross seg_.end: the segment end is itself a plausible record start
+// (the segmenter chose it with this very test), so the scan lands there
+// at the latest and the refill loop then ends the segment cleanly.
+bool TraceCursor::resync(std::uint64_t bad_record_start) {
+  for (std::uint64_t candidate = bad_record_start + 1;; ++candidate) {
+    ensure(candidate);
+    if (candidate + 8 > end()) break;
+    if (plausible_record_at(trace_, candidate - base_, probe_)) {
+      stats_.bytes_skipped += candidate - bad_record_start;
+      ++stats_.resyncs;
+      pos_ = candidate;
+      return true;
     }
-    const std::uint32_t length = be32(head);
-    if (length >= kMinDatagramBytes && length <= kMaxDatagramBytes &&
-        be32(head + 4) == Datagram::kVersion) {
-      scratch_.assign(length, std::byte{});
-      in_->clear();
-      in_->seekg(static_cast<std::streamoff>(candidate + 4));
-      in_->read(reinterpret_cast<char*>(scratch_.data()),
-                static_cast<std::streamsize>(length));
-      if (static_cast<std::uint32_t>(in_->gcount()) == length &&
-          decode_into(scratch_, probe_)) {
-        stats_.bytes_skipped += candidate - bad_record_start;
-        ++stats_.resyncs;
-        in_->clear();
-        in_->seekg(static_cast<std::streamoff>(candidate));
-        pos_ = candidate;
-        return true;
-      }
-    }
-    ++candidate;
   }
+  stats_.bytes_skipped += end() - bad_record_start;
+  pos_ = end();
+  return false;
 }
 
-bool TraceReader::refill() {
+bool TraceCursor::refill() {
   while (ok_) {
+    ensure(pos_);
+    if (pos_ >= seg_.end) return false;  // clean end of segment
     const std::uint64_t record_start = pos_;
-    char len_bytes[4];
-    in_->read(len_bytes, sizeof len_bytes);
-    const auto got = static_cast<std::uint64_t>(in_->gcount());
-    pos_ += got;
-    if (got == 0) return false;  // clean end of trace
+    const std::uint64_t size = end();
 
-    if (got < sizeof len_bytes) {
-      ++stats_.truncated;  // EOF inside the length prefix
+    if (size - record_start < 4) {
+      pos_ = size;
+      ++stats_.truncated;  // end of trace inside the length prefix
     } else {
-      const std::uint32_t length = be32(len_bytes);
+      const std::uint32_t length = load_be32(byte_at(record_start));
       if (length < kMinDatagramBytes || length > kMaxDatagramBytes) {
+        pos_ = record_start + 4;
         ++stats_.bad_length;
+      } else if (size - record_start - 4 < length) {
+        pos_ = size;
+        ++stats_.truncated;  // end of trace inside the payload
+      } else if (decode_into({byte_at(record_start) + 4, length}, current_)) {
+        pos_ = record_start + 4 + length;
+        current_offset_ = record_start;
+        ++stats_.datagrams;
+        stats_.samples += current_.samples.size();
+        stats_.bytes_delivered += 4 + length;
+        if (current_.samples.empty()) continue;  // valid, nothing to deliver
+        return true;
       } else {
-        scratch_.resize(length);
-        in_->read(reinterpret_cast<char*>(scratch_.data()),
-                  static_cast<std::streamsize>(length));
-        const auto body = static_cast<std::uint64_t>(in_->gcount());
-        pos_ += body;
-        if (body < length) {
-          ++stats_.truncated;  // EOF inside the payload
-        } else if (decode_into(scratch_, current_)) {
-          cursor_ = 0;
-          current_offset_ = record_start;
-          ++stats_.datagrams;
-          stats_.samples += current_.samples.size();
-          stats_.bytes_delivered += sizeof len_bytes + length;
-          if (current_.samples.empty()) continue;  // valid, nothing to deliver
-          return true;
-        } else {
-          ++stats_.decode_errors;
-        }
+        pos_ = record_start + 4 + length;
+        ++stats_.decode_errors;
       }
     }
 
@@ -181,46 +173,65 @@ bool TraceReader::refill() {
   return false;
 }
 
+std::span<const FlowSample> TraceCursor::read_record(std::uint64_t& seq_base) {
+  if (!refill()) return {};
+  seq_base = stream_seq_key(current_offset_, 0);
+  return current_.samples;
+}
+
+TraceReader::TraceReader(std::istream& in, ReadPolicy policy) {
+  reset(in, policy);
+}
+
+void TraceReader::reset(std::istream& in, ReadPolicy policy) {
+  walk_.reset(in, policy);
+  record_ = {};
+  next_ = 0;
+  record_key_ = 0;
+}
+
+bool TraceReader::advance() {
+  record_ = walk_.read_record(record_key_);
+  next_ = 0;
+  return !record_.empty();
+}
+
 std::size_t TraceReader::read_batch(std::vector<FlowSample>& out,
                                     std::size_t max) {
   out.clear();
   while (out.size() < max) {
-    if (cursor_ >= current_.samples.size() && !refill()) break;
-    out.push_back(std::move(current_.samples[cursor_++]));
+    if (next_ >= record_.size() && !advance()) break;
+    const std::size_t n = std::min(max - out.size(), record_.size() - next_);
+    const auto first = record_.begin() + static_cast<std::ptrdiff_t>(next_);
+    out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(n));
+    next_ += n;
   }
   return out.size();
 }
 
-std::size_t TraceReader::read_record(std::vector<FlowSample>& out,
-                                     std::uint64_t& seq_base) {
-  out.clear();
-  if (cursor_ >= current_.samples.size() && !refill()) return 0;
-  seq_base = stream_seq_key(current_offset_, cursor_);
-  while (cursor_ < current_.samples.size()) {
-    out.push_back(std::move(current_.samples[cursor_++]));
-  }
-  return out.size();
+std::span<const FlowSample> TraceReader::read_record(std::uint64_t& seq_base) {
+  if (next_ >= record_.size() && !advance()) return {};
+  seq_base = record_key_ + next_;  // stream_seq_key(offset, next_)
+  const auto rest = record_.subspan(next_);
+  next_ = record_.size();
+  return rest;
 }
 
 std::optional<FlowSample> TraceReader::next() {
-  // Consume straight from the decoded datagram's sample vector — no
-  // intermediate single-sample batch, no per-call vector churn.
-  if (cursor_ >= current_.samples.size() && !refill()) return std::nullopt;
-  return std::move(current_.samples[cursor_++]);
+  if (next_ >= record_.size() && !advance()) return std::nullopt;
+  return record_[next_++];
 }
 
 std::uint64_t TraceReader::for_each(
     const std::function<void(const FlowSample&)>& sink) {
-  // Drain the current datagram in place, then refill; the decode buffer
-  // inside refill() is the only per-record allocation.
   std::uint64_t delivered = 0;
-  while (true) {
-    while (cursor_ < current_.samples.size()) {
-      sink(current_.samples[cursor_++]);
+  while (next_ < record_.size() || advance()) {
+    for (; next_ < record_.size(); ++next_) {
+      sink(record_[next_]);
       ++delivered;
     }
-    if (!refill()) return delivered;
   }
+  return delivered;
 }
 
 }  // namespace ixp::sflow

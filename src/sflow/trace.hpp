@@ -11,22 +11,27 @@
 // [u32 datagram length][datagram bytes] until EOF.
 //
 // Real traces get damaged: bits flip on disk, transfers truncate, a
-// crashed collector leaves a half-written record. TraceReader therefore
+// crashed collector leaves a half-written record. Reading therefore
 // carries a failure model (DESIGN.md §8): every corrupt record is
 // classified into an error taxonomy (ReaderStats), and — budget
-// permitting (ReadPolicy) — the reader resynchronizes by scanning
-// forward for the next plausible length-prefixed datagram instead of
-// halting. Every byte of the input is accounted for: it is either the
-// 12-byte header, part of a delivered record, or counted in
-// `bytes_skipped`.
+// permitting (ReadPolicy) — the walk resynchronizes by scanning forward
+// for the next plausible length-prefixed datagram instead of halting.
+// Every byte of the input is accounted for: it is either the 12-byte
+// header, part of a delivered record, or counted in `bytes_skipped`.
+// TraceCursor is the one implementation of that walk; TraceReader runs
+// it over a forward-only window of an istream, the mapped ingest path
+// (trace_segment.hpp) over segments of a mapped file.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <istream>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
+#include <vector>
 
 #include "sflow/datagram.hpp"
 
@@ -147,23 +152,135 @@ struct ReaderStats {
   friend bool operator==(const ReaderStats&, const ReaderStats&) = default;
 };
 
+/// Half-open byte range [begin, end) of one walk over a trace: one
+/// worker's slice of a mapped trace, or the whole of a streamed one.
+struct TraceSegment {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+
+  [[nodiscard]] std::uint64_t size() const noexcept { return end - begin; }
+  friend bool operator==(const TraceSegment&, const TraceSegment&) = default;
+};
+
+/// The record walk — the one implementation of the failure model
+/// (DESIGN.md §8): refill, resync scan, error budget, byte accounting.
+/// It decodes the records of one TraceSegment straight out of a byte
+/// span, with zero steady-state allocations: the decoded Datagram and the
+/// resync probe are reused across records, and read_record() hands out a
+/// span into the cursor's own buffer (valid until the next call).
+///
+/// Over a mapped trace the span is the whole file. Under a TraceReader
+/// the span is a sliding window over an istream that only ever reads
+/// forward: before every decision about offset X the window holds at
+/// least 4 + kMaxDatagramBytes bytes from X (the most any decision can
+/// look at) or everything up to the true end of input, so each decision
+/// is the one the same walk makes over the mapped file.
+class TraceCursor {
+ public:
+  TraceCursor(std::span<const std::byte> trace, TraceSegment seg,
+              ReadPolicy policy = ReadPolicy::lenient());
+
+  /// Re-targets the cursor at another segment, clearing stats and
+  /// position but keeping every internal buffer's capacity.
+  void reset(std::span<const std::byte> trace, TraceSegment seg,
+             ReadPolicy policy = ReadPolicy::lenient());
+
+  /// True until the error budget is exceeded (or, for a streamed walk,
+  /// the trace header is rejected).
+  [[nodiscard]] bool ok() const noexcept { return ok_; }
+  [[nodiscard]] const ReaderStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const TraceSegment& segment() const noexcept { return seg_; }
+
+  /// Decodes the next record of the segment and returns its flow samples
+  /// (a view into the cursor's reused buffer — consume before the next
+  /// call). Sets `seq_base` to the stream_seq_key of the first sample.
+  /// Empty at the end of the segment or once the budget clears ok().
+  std::span<const FlowSample> read_record(std::uint64_t& seq_base);
+
+  /// Absolute trace offset of the last delivered record's length prefix.
+  /// Meaningful only after a non-empty read_record().
+  [[nodiscard]] std::uint64_t record_offset() const noexcept {
+    return current_offset_;
+  }
+
+  /// Raw encoded payload of the last delivered record (length prefix
+  /// stripped) — what a live agent would have sent as one datagram. The
+  /// replayer pairs this with record_offset() to re-send a trace through
+  /// the collector service with its original stream keys intact.
+  [[nodiscard]] std::span<const std::byte> record_bytes() const noexcept {
+    return trace_.subspan(current_offset_ + 4 - base_,
+                          pos_ - current_offset_ - 4);
+  }
+
+ private:
+  friend class TraceReader;
+
+  /// Streamed form, used by TraceReader: validates the trace header at
+  /// the current position of `in`, then walks records to end of input.
+  TraceCursor() = default;
+  void reset(std::istream& in, ReadPolicy policy);
+
+  /// Keeps the window invariant for a decision about offset `at`.
+  void ensure(std::uint64_t at) {
+    if (in_ != nullptr && at + 4 + kMaxDatagramBytes > end()) slide(at);
+  }
+  /// Drops the window's bytes before `at` and reads forward until the
+  /// window is full or the stream ends.
+  void slide(std::uint64_t at);
+  /// Absolute offset one past the last byte the walk can see.
+  [[nodiscard]] std::uint64_t end() const noexcept {
+    return base_ + trace_.size();
+  }
+  [[nodiscard]] const std::byte* byte_at(std::uint64_t offset) const noexcept {
+    return trace_.data() + (offset - base_);
+  }
+
+  bool refill();
+  bool resync(std::uint64_t bad_record_start);
+  [[nodiscard]] bool spend_error();
+
+  std::span<const std::byte> trace_;  ///< bytes [base_, end()) of the trace
+  std::uint64_t base_ = 0;            ///< absolute offset of trace_[0]
+  TraceSegment seg_{};
+  ReadPolicy policy_;
+  ReaderStats stats_;
+  bool ok_ = false;
+  std::uint64_t pos_ = 0;  ///< absolute offset of the next unread byte
+  Datagram current_;       ///< decoded record, reused across read_record()
+  Datagram probe_;         ///< resync decode probe, reused
+  std::uint64_t current_offset_ = 0;  ///< record start of current_
+  // Streamed walks only: the stream still feeding the window (null once
+  // it has reached end of input) and the window's storage.
+  std::istream* in_ = nullptr;
+  std::unique_ptr<std::byte[]> window_;
+};
+
 /// Streams samples back out of a recorded trace.
 ///
-/// read_batch() is the primitive: it pulls samples in stream order across
-/// datagram boundaries, which is what the parallel analysis engine feeds
-/// its worker threads with. next() and for_each() are conveniences built
-/// on top of it; the three can be interleaved freely.
+/// read_record() is the primitive: one record's samples with their
+/// offset-derived stream key, which is what the ingest layer feeds the
+/// analysis engine with. read_batch(), next() and for_each() are
+/// conveniences built on top of it; all four can be interleaved freely.
 ///
-/// Corruption handling is governed by the ReadPolicy: under the default
-/// strict policy the first corrupt record clears ok() and ends the read;
-/// under a lenient policy the reader seeks past the damage to the next
-/// plausible record (the stream must be seekable — files and
-/// stringstreams are) and keeps going until the error budget is spent.
-/// stats() tells you exactly what was lost either way.
+/// The reader is a TraceCursor over a forward-only window of the stream,
+/// so corruption is handled exactly as on a mapped trace: under the
+/// default strict policy the first corrupt record clears ok() and ends
+/// the read; under a lenient policy the walk scans past the damage to the
+/// next plausible record and keeps going until the error budget is spent.
+/// Nothing is ever sought, so pipes and other non-seekable streams
+/// resynchronize like files. stats() tells you exactly what was lost
+/// either way.
 class TraceReader {
  public:
   /// Batch size used by for_each()'s internal pulls.
   static constexpr std::size_t kDefaultBatch = 256;
+  /// Bytes of the stream held in memory at once. The window refills
+  /// (moving its unread tail to the front and reading forward) when a
+  /// decision would need more lookahead than it holds, so it refills
+  /// about every kWindowBytes - 4 - kMaxDatagramBytes bytes and at most
+  /// one maximal record is moved each time.
+  static constexpr std::size_t kWindowBytes =
+      4 * std::size_t{kMaxDatagramBytes};
 
   /// Validates the header; `ok()` is false on a bad magic/version.
   explicit TraceReader(std::istream& in,
@@ -178,23 +295,27 @@ class TraceReader {
   /// True until the header is rejected or the error budget is exceeded.
   /// A lenient reader that resynchronized past damage stays ok(); check
   /// stats().degraded() to see whether anything was lost.
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
+  [[nodiscard]] bool ok() const noexcept { return walk_.ok(); }
 
-  [[nodiscard]] const ReaderStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const ReadPolicy& policy() const noexcept { return policy_; }
+  [[nodiscard]] const ReaderStats& stats() const noexcept {
+    return walk_.stats();
+  }
+  [[nodiscard]] const ReadPolicy& policy() const noexcept {
+    return walk_.policy_;
+  }
 
   /// Clears `out` and refills it with up to `max` samples in stream
   /// order; returns the number delivered (0 at end-of-trace or once the
   /// error budget clears ok()).
   std::size_t read_batch(std::vector<FlowSample>& out, std::size_t max);
 
-  /// Clears `out` and refills it with the (remaining) samples of exactly
-  /// one delivered record, setting `seq_base` to the stream_seq_key of the
-  /// first sample delivered. Returns the number delivered, 0 at
-  /// end-of-trace. Record-granular batches carry position-derived keys,
-  /// which is what keeps a streamed analysis byte-identical to a
-  /// mapped-parallel one over the same trace.
-  std::size_t read_record(std::vector<FlowSample>& out, std::uint64_t& seq_base);
+  /// The (remaining) samples of exactly one delivered record — a view
+  /// valid until the next read — with `seq_base` set to the
+  /// stream_seq_key of the first one. Empty at end-of-trace.
+  /// Record-granular batches carry position-derived keys, which is what
+  /// keeps a streamed analysis byte-identical to a mapped-parallel one
+  /// over the same trace.
+  std::span<const FlowSample> read_record(std::uint64_t& seq_base);
 
   /// Invokes `sink` for every sample in order; returns the number of
   /// samples delivered.
@@ -204,20 +325,13 @@ class TraceReader {
   [[nodiscard]] std::optional<FlowSample> next();
 
  private:
-  bool refill();
-  bool resync(std::uint64_t bad_record_start);
-  [[nodiscard]] bool spend_error();
+  /// Moves on to the next record once the current one is drained.
+  bool advance();
 
-  std::istream* in_;
-  ReadPolicy policy_;
-  ReaderStats stats_;
-  bool ok_ = false;
-  std::uint64_t pos_ = 0;  ///< absolute offset of the next unread byte
-  Datagram current_;       ///< decoded datagram being drained
-  std::size_t cursor_ = 0; ///< next undelivered sample in current_
-  std::uint64_t current_offset_ = 0;  ///< record start of current_
-  std::vector<std::byte> scratch_;    ///< payload bytes, reused per record
-  Datagram probe_;                    ///< resync decode probe, reused
+  TraceCursor walk_;
+  std::span<const FlowSample> record_;  ///< current record's samples
+  std::size_t next_ = 0;                ///< next undelivered sample in record_
+  std::uint64_t record_key_ = 0;        ///< stream key of record_[0]
 };
 
 }  // namespace ixp::sflow

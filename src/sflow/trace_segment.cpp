@@ -31,8 +31,8 @@ std::vector<TraceSegment> TraceSegmenter::split(std::span<const std::byte> trace
 
   // Segment 0 always starts right after the header — exactly where the
   // streamed reader starts, plausible record there or not (corruption at
-  // the very first record is the cursor's problem, as it is the
-  // reader's). Later starts slide forward to a plausible boundary.
+  // the very first record is the walk's problem). Later starts slide
+  // forward to a plausible boundary.
   std::vector<std::uint64_t> starts{kTraceHeaderBytes};
   const std::uint64_t body = size - kTraceHeaderBytes;
   Datagram probe;
@@ -48,103 +48,6 @@ std::vector<TraceSegment> TraceSegmenter::split(std::span<const std::byte> trace
     segments.push_back({starts[i], end});
   }
   return segments;
-}
-
-TraceCursor::TraceCursor(std::span<const std::byte> trace, TraceSegment seg,
-                         ReadPolicy policy) {
-  reset(trace, seg, policy);
-}
-
-void TraceCursor::reset(std::span<const std::byte> trace, TraceSegment seg,
-                        ReadPolicy policy) {
-  trace_ = trace;
-  seg_ = seg;
-  policy_ = policy;
-  stats_ = ReaderStats{};
-  ok_ = true;
-  pos_ = seg.begin;
-  current_.samples.clear();
-  current_.counters.clear();
-  current_offset_ = seg.begin;
-}
-
-bool TraceCursor::spend_error() {
-  if (stats_.errors() > policy_.max_errors) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-// Mirrors TraceReader::resync byte for byte, including the accounting at
-// end of input: on success the skipped gap is charged and the cursor is
-// repositioned at the plausible record; when fewer than 8 bytes remain
-// anywhere ahead, everything from the bad record to the end of the trace
-// is skipped without counting a resync. For a non-final segment the scan
-// can never cross seg_.end: the segment end is itself a plausible record
-// start (the segmenter chose it with this very test), so the scan lands
-// there at the latest and the refill loop then ends the segment cleanly.
-bool TraceCursor::resync(std::uint64_t bad_record_start) {
-  const std::uint64_t size = trace_.size();
-  std::uint64_t candidate = bad_record_start + 1;
-  while (candidate + 8 <= size) {
-    if (plausible_record_at(trace_, candidate, probe_)) {
-      stats_.bytes_skipped += candidate - bad_record_start;
-      ++stats_.resyncs;
-      pos_ = candidate;
-      return true;
-    }
-    ++candidate;
-  }
-  stats_.bytes_skipped += size - bad_record_start;
-  pos_ = size;
-  return false;
-}
-
-bool TraceCursor::refill() {
-  const std::uint64_t size = trace_.size();
-  while (ok_) {
-    if (pos_ >= seg_.end) return false;  // clean end of segment
-    const std::uint64_t record_start = pos_;
-
-    if (size - record_start < 4) {
-      pos_ = size;
-      ++stats_.truncated;  // end of trace inside the length prefix
-    } else {
-      const std::uint32_t length = load_be32(trace_.data() + record_start);
-      if (length < kMinDatagramBytes || length > kMaxDatagramBytes) {
-        pos_ = record_start + 4;
-        ++stats_.bad_length;
-      } else if (size - record_start - 4 < length) {
-        pos_ = size;
-        ++stats_.truncated;  // end of trace inside the payload
-      } else if (decode_into({trace_.data() + record_start + 4, length},
-                             current_)) {
-        pos_ = record_start + 4 + length;
-        current_offset_ = record_start;
-        ++stats_.datagrams;
-        stats_.samples += current_.samples.size();
-        stats_.bytes_delivered += 4 + length;
-        if (current_.samples.empty()) continue;  // valid, nothing to deliver
-        return true;
-      } else {
-        pos_ = record_start + 4 + length;
-        ++stats_.decode_errors;
-      }
-    }
-
-    // A corrupt record starts at record_start; spend budget and scan past
-    // the damage, exactly like the streamed reader.
-    if (!spend_error()) return false;
-    if (!resync(record_start)) return false;  // scanned to end of input
-  }
-  return false;
-}
-
-std::span<const FlowSample> TraceCursor::read_record(std::uint64_t& seq_base) {
-  if (!refill()) return {};
-  seq_base = stream_seq_key(current_offset_, 0);
-  return current_.samples;
 }
 
 }  // namespace ixp::sflow

@@ -252,9 +252,8 @@ TEST_F(ParallelEngineTest, SpanAnalyzerTwoThreadsMatchesBaseline) {
   auto vp = make_vantage();
   ParallelOptions options;
   options.threads = 2;
-  options.batch_size = 64;  // many batches -> real interleaving
   ParallelAnalyzer analyzer{vp, options};
-  ingest::SpanSource source{*samples_, options.batch_size};
+  ingest::SpanSource source{*samples_, 64};  // many batches: interleaving
   expect_matches_baseline(analyzer.analyze(kWeek, source, fetcher()));
 }
 
@@ -262,9 +261,8 @@ TEST_F(ParallelEngineTest, SpanAnalyzerFourThreadsMatchesBaseline) {
   auto vp = make_vantage();
   ParallelOptions options;
   options.threads = 4;
-  options.batch_size = 37;  // deliberately odd: ragged final batch
   ParallelAnalyzer analyzer{vp, options};
-  ingest::SpanSource source{*samples_, options.batch_size};
+  ingest::SpanSource source{*samples_, 37};  // odd: ragged final batch
   expect_matches_baseline(analyzer.analyze(kWeek, source, fetcher()));
 }
 
@@ -272,14 +270,14 @@ TEST_F(ParallelEngineTest, SpanAnalyzerEightThreadsMatchesBaseline) {
   auto vp = make_vantage();
   ParallelOptions options;
   options.threads = 8;  // more workers than a shard's worth of batches
-  options.batch_size = 51;
   ParallelAnalyzer analyzer{vp, options};
-  ingest::SpanSource source{*samples_, options.batch_size};
+  ingest::SpanSource source{*samples_, 51};
   expect_matches_baseline(analyzer.analyze(kWeek, source, fetcher()));
 }
 
 TEST_F(ParallelEngineTest, TraceReplayThreadedMatchesBaseline) {
-  // Full loop: record the stream, replay it through the queue-fed engine.
+  // Full loop: record the stream, replay it through the engine, three
+  // workers taking turns on the one reader.
   std::stringstream buffer;
   {
     sflow::TraceWriter writer{buffer, net::Ipv4Addr{172, 16, 0, 1}, 128};
@@ -292,7 +290,6 @@ TEST_F(ParallelEngineTest, TraceReplayThreadedMatchesBaseline) {
   auto vp = make_vantage();
   ParallelOptions options;
   options.threads = 3;
-  options.batch_size = 128;
   ParallelAnalyzer analyzer{vp, options};
   ingest::ReaderSource source{reader};
   const auto report = analyzer.analyze(kWeek, source, fetcher());
@@ -305,7 +302,7 @@ TEST_F(ParallelEngineTest, SingleThreadAnalyzerMatchesBaseline) {
   ParallelOptions options;
   options.threads = 1;
   ParallelAnalyzer analyzer{vp, options};
-  ingest::SpanSource source{*samples_, options.batch_size};
+  ingest::SpanSource source{*samples_, 512};
   expect_matches_baseline(analyzer.analyze(kWeek, source, fetcher()));
 }
 

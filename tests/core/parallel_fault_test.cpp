@@ -1,13 +1,14 @@
 // Failure containment in the parallel engine (DESIGN.md §8):
-//   - a worker-thread exception must never deadlock the bounded batch
-//     queue or take the process down — strict mode joins every thread and
-//     rethrows on the calling thread, lenient mode completes the week
-//     with a degraded report;
+//   - a worker-thread exception must never deadlock the engine or take
+//     the process down — strict mode joins every thread and rethrows on
+//     the calling thread, lenient mode completes the week with a degraded
+//     report; a source whose next_batch() throws ends the week in either
+//     mode, rethrown on the calling thread;
 //   - a trace damaged by the FaultInjector, read leniently, must produce
 //     a byte-identical report for any thread count (the reader is the
 //     serial resync point, so corruption cannot break determinism).
-// Runs under the tsan preset: the interesting bugs here are lock-order
-// and lost-wakeup races on the failure path.
+// Runs under the tsan preset: the interesting bugs here are races on the
+// failure path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -65,8 +66,6 @@ class ParallelFaultTest : public ::testing::Test {
     };
   }
 
-  static sflow::FlowSample sample(std::size_t i) { return (*samples_)[i]; }
-
   static gen::InternetModel* model_;
   static std::unordered_map<net::Asn, net::Locality>* locality_;
   static std::vector<sflow::FlowSample>* samples_;
@@ -96,8 +95,6 @@ void expect_reports_equal(const WeeklyReport& a, const WeeklyReport& b) {
 ParallelOptions throwing_options(unsigned threads, std::uint64_t bad_seq) {
   ParallelOptions options;
   options.threads = threads;
-  options.batch_size = 64;
-  options.max_queued_batches = 2;  // small: force reader/worker blocking
   options.worker_hook = [bad_seq](std::span<const sflow::FlowSample>,
                                   std::uint64_t first_seq) {
     if (first_seq == bad_seq) throw std::runtime_error{"classifier blew up"};
@@ -105,20 +102,99 @@ ParallelOptions throwing_options(unsigned threads, std::uint64_t bad_seq) {
   return options;
 }
 
+/// A SpanSource's batches with no split plan: the engine's workers have
+/// to take turns on it, as they do on a streamed reader or a live feed.
+class SerialSource final : public ingest::IngestSource {
+ public:
+  SerialSource(std::span<const sflow::FlowSample> samples, std::size_t batch)
+      : span_(samples, batch) {}
+
+  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
+    return span_.next_batch(out);
+  }
+
+ private:
+  ingest::SpanSource span_;
+};
+
+/// Splits like a 64-sample SpanSource, except that the second part
+/// throws from next_batch() on its second pull — a read failure inside a
+/// sub-source, on whichever worker claimed it.
+class PoisonedPartSource final : public ingest::IngestSource {
+ public:
+  explicit PoisonedPartSource(std::span<const sflow::FlowSample> samples)
+      : span_(samples, 64) {}
+
+  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
+    return span_.next_batch(out);
+  }
+
+  std::vector<std::unique_ptr<ingest::IngestSource>> split(
+      std::size_t want) override {
+    auto parts = span_.split(want);
+    if (parts.size() > 1)
+      parts[1] = std::make_unique<Part>(std::move(parts[1]));
+    return parts;
+  }
+
+ private:
+  class Part final : public ingest::IngestSource {
+   public:
+    explicit Part(std::unique_ptr<ingest::IngestSource> inner)
+        : inner_(std::move(inner)) {}
+
+    ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
+      if (++pulls_ == 2) throw std::runtime_error{"sub-source read failed"};
+      return inner_->next_batch(out);
+    }
+
+   private:
+    std::unique_ptr<ingest::IngestSource> inner_;
+    int pulls_ = 0;
+  };
+
+  ingest::SpanSource span_;
+};
+
 TEST_F(ParallelFaultTest, StrictWorkerExceptionRethrownNoDeadlock) {
   auto vp = make_vantage();
-  // The poisoned batch sits mid-stream: the reader will still be pushing
-  // against the tiny queue when the worker dies, which is exactly the
-  // blocked-push scenario abort() must unwedge.
+  // The poisoned batch sits mid-stream of a serial source: the other
+  // workers are still taking turns on it when one of them fails, and all
+  // of them must stop and join before the exception surfaces.
   ParallelAnalyzer analyzer{vp, throwing_options(4, 512)};
-  ingest::FunctionSource source{[at = std::size_t{0}](
-                                    std::vector<sflow::FlowSample>& out) mutable {
-    out.clear();
-    while (out.size() < 64 && at < samples_->size()) out.push_back(sample(at++));
-    return out.size();
-  }};
+  SerialSource source{*samples_, 64};
   EXPECT_THROW((void)analyzer.analyze(kWeek, source, fetcher()),
                std::runtime_error);
+}
+
+TEST_F(ParallelFaultTest, SubSourceExceptionIsRethrownNotTerminate) {
+  WeeklyReport baseline;
+  {
+    auto vp = make_vantage();
+    ParallelAnalyzer analyzer{vp, ParallelOptions{}};
+    ingest::SpanSource source{*samples_, 64};
+    baseline = analyzer.analyze(kWeek, source, fetcher());
+  }
+  for (const bool lenient : {false, true}) {
+    for (const unsigned threads : {2u, 8u}) {
+      SCOPED_TRACE(std::string{lenient ? "lenient" : "strict"} + ", " +
+                   std::to_string(threads) + " threads");
+      auto vp = make_vantage();
+      ParallelOptions options;
+      options.threads = threads;
+      options.lenient_workers = lenient;
+      ParallelAnalyzer analyzer{vp, options};
+      PoisonedPartSource poisoned{*samples_};
+      EXPECT_THROW((void)analyzer.analyze(kWeek, poisoned, fetcher()),
+                   std::runtime_error);
+
+      // The same analyzer is left fully usable.
+      ingest::SpanSource clean{*samples_, 64};
+      const WeeklyReport report = analyzer.analyze(kWeek, clean, fetcher());
+      EXPECT_FALSE(report.degraded);
+      expect_reports_equal(baseline, report);
+    }
+  }
 }
 
 TEST_F(ParallelFaultTest, StrictSpanWorkerExceptionRethrown) {
@@ -134,7 +210,7 @@ TEST_F(ParallelFaultTest, LenientWorkerCompletesDegraded) {
   options.lenient_workers = true;
   auto vp = make_vantage();
   ParallelAnalyzer analyzer{vp, options};
-  ingest::SpanSource source{*samples_, options.batch_size};
+  ingest::SpanSource source{*samples_, 64};
   const auto report = analyzer.analyze(kWeek, source, fetcher());
   EXPECT_TRUE(report.degraded);
   ASSERT_EQ(report.worker_errors.size(), 4u);
@@ -147,9 +223,8 @@ TEST_F(ParallelFaultTest, CleanRunIsNotDegraded) {
   auto vp = make_vantage();
   ParallelOptions options;
   options.threads = 2;
-  options.batch_size = 64;
   ParallelAnalyzer analyzer{vp, options};
-  ingest::SpanSource source{*samples_, options.batch_size};
+  ingest::SpanSource source{*samples_, 64};
   const auto report = analyzer.analyze(kWeek, source, fetcher());
   EXPECT_FALSE(report.degraded);
   EXPECT_TRUE(report.worker_errors.empty());
@@ -179,7 +254,6 @@ TEST_F(ParallelFaultTest, CorruptTraceLenientReportIdenticalAcrossThreads) {
     auto vp = make_vantage();
     ParallelOptions options;
     options.threads = threads;
-    options.batch_size = 256;
     ParallelAnalyzer analyzer{vp, options};
     ingest::ReaderSource source{reader};
     reports.push_back(analyzer.analyze(kWeek, source, fetcher()));

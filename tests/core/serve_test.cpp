@@ -185,7 +185,7 @@ WeeklyReport span_baseline(const std::vector<sflow::FlowSample>& samples) {
   ParallelOptions options;
   options.threads = 1;
   ParallelAnalyzer analyzer{vp, options};
-  ingest::SpanSource source{samples, options.batch_size};
+  ingest::SpanSource source{samples, 512};
   return analyzer.analyze(kWeek, source, ServeTest::fetcher());
 }
 

@@ -76,25 +76,6 @@ std::vector<std::pair<std::uint64_t, std::size_t>> drain(IngestSource& source) {
   return batches;
 }
 
-TEST(FunctionSource, RunningKeysAndEnd) {
-  std::size_t calls = 0;
-  FunctionSource source{[&calls](std::vector<sflow::FlowSample>& out) {
-    out.clear();
-    if (calls == 3) return std::size_t{0};
-    const std::size_t n = 5 + calls;  // 5, 6, 7
-    for (std::size_t i = 0; i < n; ++i) out.push_back(make_sample(0));
-    ++calls;
-    return n;
-  }};
-  const auto batches = drain(source);
-  ASSERT_EQ(batches.size(), 3u);
-  EXPECT_EQ(batches[0], (std::pair<std::uint64_t, std::size_t>{0, 5}));
-  EXPECT_EQ(batches[1], (std::pair<std::uint64_t, std::size_t>{5, 6}));
-  EXPECT_EQ(batches[2], (std::pair<std::uint64_t, std::size_t>{11, 7}));
-  EXPECT_TRUE(source.ok());
-  EXPECT_EQ(source.stats().samples, 0u);  // in-memory: taxonomy is zeros
-}
-
 TEST(SpanSource, BatchBoundariesAndKeys) {
   const auto samples = make_samples(10);
   SpanSource source{samples, /*batch_size=*/4};

@@ -1,15 +1,19 @@
 // Differential tests: FlatLpm held to the answers of the two oracle
 // structures (PrefixTrie and LengthIndexedLpm) over randomized corpora
 // — overlapping prefixes, the full /0–/32 length range, default routes,
-// overwriting inserts, and address sweeps across prefix boundaries.
+// overwriting inserts, inserts interleaved with batch lookups, address
+// sweeps across prefix boundaries, and the top array forced onto 4 KiB
+// pages.
 #include "net/flat_lpm.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/prefix_trie.hpp"
+#include "util/huge_array.hpp"
 #include "util/rng.hpp"
 
 namespace ixp::net {
@@ -142,6 +146,24 @@ Corpus make_corpus(std::uint64_t seed, std::size_t n_prefixes,
   return c;
 }
 
+/// Holds `flat` to the trie on `probes` in every lookup form: value,
+/// prefix, pointer, and batched — a batch answer is the same payload
+/// slot the scalar path resolves.
+void expect_matches_trie(const FlatLpm<std::uint32_t>& flat,
+                         const PrefixTrie<std::uint32_t>& trie,
+                         std::span<const Ipv4Addr> probes) {
+  std::vector<const std::uint32_t*> out(probes.size());
+  flat.lookup_batch(probes, out);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const Ipv4Addr addr = probes[i];
+    const auto expect = trie.lookup(addr);
+    ASSERT_EQ(flat.lookup(addr), expect) << "addr " << addr.value();
+    ASSERT_EQ(flat.lookup_prefix(addr), trie.lookup_prefix(addr))
+        << "addr " << addr.value();
+    ASSERT_EQ(out[i], flat.lookup_ptr(addr)) << "probe " << i;
+  }
+}
+
 void run_differential(const Corpus& corpus) {
   FlatLpm<std::uint32_t> flat;
   PrefixTrie<std::uint32_t> trie;
@@ -156,22 +178,10 @@ void run_differential(const Corpus& corpus) {
   ASSERT_EQ(flat.size(), indexed.size());
 
   for (const Ipv4Addr addr : corpus.probes) {
-    const auto expect = trie.lookup(addr);
-    ASSERT_EQ(flat.lookup(addr), expect) << "addr " << addr.value();
-    ASSERT_EQ(indexed.lookup(addr), expect) << "addr " << addr.value();
-
-    const auto flat_prefix = flat.lookup_prefix(addr);
-    const auto trie_prefix = trie.lookup_prefix(addr);
-    ASSERT_EQ(flat_prefix, trie_prefix) << "addr " << addr.value();
+    ASSERT_EQ(indexed.lookup(addr), trie.lookup(addr))
+        << "addr " << addr.value();
   }
-
-  // Batched answers must equal the scalar ones, element for element.
-  std::vector<const std::uint32_t*> out(corpus.probes.size());
-  flat.lookup_batch(corpus.probes, out);
-  for (std::size_t i = 0; i < corpus.probes.size(); ++i) {
-    const std::uint32_t* scalar = flat.lookup_ptr(corpus.probes[i]);
-    ASSERT_EQ(out[i], scalar) << "probe " << i;
-  }
+  expect_matches_trie(flat, trie, corpus.probes);
 }
 
 TEST(FlatLpmDifferential, FullLengthRange) {
@@ -211,6 +221,76 @@ TEST(FlatLpmDifferential, OverwritingInserts) {
     const Ipv4Addr addr{static_cast<std::uint32_t>(rng())};
     ASSERT_EQ(flat.lookup(addr), trie.lookup(addr)) << "addr " << addr.value();
   }
+}
+
+TEST(FlatLpmDifferential, InterleavedInsertsAndBatchLookups) {
+  // A fixed probe set queried after every insert round; half the inserts
+  // nest under an already-probed address, so that address's answer
+  // changes between two batch lookups of it.
+  util::Rng rng{31};
+  FlatLpm<std::uint32_t> flat;
+  PrefixTrie<std::uint32_t> trie;
+  std::vector<Ipv4Addr> probes;
+  for (int i = 0; i < 2048; ++i)
+    probes.emplace_back(static_cast<std::uint32_t>(rng()));
+
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 25; ++i) {
+      std::uint32_t addr = probes[rng() % probes.size()].value();
+      if (rng.next_below(2)) addr = static_cast<std::uint32_t>(rng());
+      const auto len = static_cast<std::uint8_t>(rng.next_in(8, 32));
+      const Ipv4Prefix p{Ipv4Addr{addr}, len};
+      const auto v = static_cast<std::uint32_t>(round * 1000 + i);
+      flat.insert(p, v);
+      trie.insert(p, v);
+    }
+    expect_matches_trie(flat, trie, probes);
+  }
+}
+
+TEST(FlatLpmDifferential, InsertBurstsBetweenLookups) {
+  // 300 single-insert bursts, each nesting an ever-longer prefix over a
+  // probed address (so each changes that address's answer), with the
+  // same addresses looked up after every burst.
+  util::Rng rng{32};
+  FlatLpm<std::uint32_t> flat;
+  PrefixTrie<std::uint32_t> trie;
+  std::vector<Ipv4Addr> probes;
+  for (int i = 0; i < 256; ++i)
+    probes.emplace_back(static_cast<std::uint32_t>(rng()));
+
+  for (int round = 0; round < 300; ++round) {
+    const std::uint32_t target = probes[round % probes.size()].value();
+    const auto len = static_cast<std::uint8_t>(8 + round % 25);
+    flat.insert(Ipv4Prefix{Ipv4Addr{target}, len},
+                static_cast<std::uint32_t>(round));
+    trie.insert(Ipv4Prefix{Ipv4Addr{target}, len},
+                static_cast<std::uint32_t>(round));
+    expect_matches_trie(flat, trie, probes);
+  }
+}
+
+TEST(FlatLpmDifferential, SmallPageFallback) {
+  // force_small_pages pins the HugeArray 4 KiB path; the table must
+  // report that backing and answer exactly as the huge-page build.
+  util::force_small_pages(true);
+  FlatLpm<std::uint32_t> flat;
+  PrefixTrie<std::uint32_t> trie;
+  util::Rng rng{33};
+  for (int i = 0; i < 800; ++i) {
+    const Ipv4Prefix p{Ipv4Addr{static_cast<std::uint32_t>(rng())},
+                       static_cast<std::uint8_t>(rng.next_in(4, 32))};
+    flat.insert(p, static_cast<std::uint32_t>(i));
+    trie.insert(p, static_cast<std::uint32_t>(i));
+  }
+  EXPECT_TRUE(flat.top_backing() == util::PageBacking::kSmall ||
+              flat.top_backing() == util::PageBacking::kHeap)
+      << to_string(flat.top_backing());
+  std::vector<Ipv4Addr> probes;
+  for (int i = 0; i < 6000; ++i)
+    probes.emplace_back(static_cast<std::uint32_t>(rng()));
+  expect_matches_trie(flat, trie, probes);
+  util::force_small_pages(false);
 }
 
 TEST(FlatLpmDifferential, AddressSweepAcrossBoundaries) {

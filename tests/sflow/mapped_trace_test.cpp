@@ -13,12 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <span>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,20 +71,61 @@ struct Walk {
   ReaderStats stats;
 };
 
-Walk streamed_walk(const std::vector<std::byte>& bytes) {
-  std::stringstream stream{
-      std::string{reinterpret_cast<const char*>(bytes.data()), bytes.size()}};
+/// A pipe-like stream buffer: hands the bytes out in small chunks and
+/// refuses every seek, as a pipe or a socket does.
+class PipeBuf final : public std::streambuf {
+ public:
+  explicit PipeBuf(std::span<const std::byte> bytes) : bytes_(bytes) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (at_ >= bytes_.size()) return traits_type::eof();
+    const std::size_t n = std::min(chunk_.size(), bytes_.size() - at_);
+    std::memcpy(chunk_.data(), bytes_.data() + at_, n);
+    at_ += n;
+    setg(chunk_.data(), chunk_.data(), chunk_.data() + n);
+    return traits_type::to_int_type(*gptr());
+  }
+  pos_type seekoff(off_type, std::ios_base::seekdir,
+                   std::ios_base::openmode) override {
+    return pos_type(off_type(-1));
+  }
+  pos_type seekpos(pos_type, std::ios_base::openmode) override {
+    return pos_type(off_type(-1));
+  }
+
+ private:
+  std::span<const std::byte> bytes_;
+  std::size_t at_ = 0;
+  std::array<char, 1000> chunk_{};
+};
+
+Walk reader_walk(std::istream& stream) {
   TraceReader reader{stream, ReadPolicy::lenient()};
   Walk walk;
-  std::vector<FlowSample> record;
   std::uint64_t key = 0;
-  while (reader.read_record(record, key) > 0) {
+  for (auto record = reader.read_record(key); !record.empty();
+       record = reader.read_record(key)) {
     walk.keys.push_back(key);
     for (const auto& sample : record) walk.samples.push_back(sample);
   }
   EXPECT_TRUE(reader.ok());
   walk.stats = reader.stats();
   return walk;
+}
+
+Walk streamed_walk(const std::vector<std::byte>& bytes) {
+  std::stringstream stream{
+      std::string{reinterpret_cast<const char*>(bytes.data()), bytes.size()}};
+  return reader_walk(stream);
+}
+
+/// The same read through a stream that cannot seek.
+Walk piped_walk(const std::vector<std::byte>& bytes) {
+  PipeBuf pipe{bytes};
+  std::istream stream{&pipe};
+  return reader_walk(stream);
 }
 
 /// Walks every segment of a `want`-way split in segment order with a
@@ -283,16 +326,14 @@ TEST(TraceCursor, StrictBudgetClearsOkOnCorruptRecord) {
   EXPECT_GT(cursor.stats().errors(), 0u);
 }
 
-// The corruption matrix parity: every FaultInjector scenario, several
-// seeds, streamed-vs-mapped equality of deliveries, keys, and summed
-// taxonomy, plus the exact byte-accounting invariant on the sum.
-TEST(TraceCursor, CorruptionMatrixParityWithStreamedReader) {
-  const std::vector<std::byte> intact = build_trace(/*samples=*/140,
-                                                    /*batch=*/7);
-  struct Named {
-    const char* name;
-    FaultMix mix;
-  };
+struct NamedMix {
+  const char* name;
+  FaultMix mix;
+};
+
+/// Every FaultInjector damage kind alone, the default mix, and all kinds
+/// at once.
+std::vector<NamedMix> corruption_matrix() {
   FaultMix bit_flip, truncate, bogus, duplicate, reorder, eof, everything;
   bit_flip.bit_flip = 0.3;
   truncate.truncate = 0.3;
@@ -301,15 +342,22 @@ TEST(TraceCursor, CorruptionMatrixParityWithStreamedReader) {
   reorder.reorder = 0.3;
   eof.mid_file_eof = 0.1;
   everything = FaultMix{0.2, 0.2, 0.2, 0.2, 0.2, 0.05};
-  const Named matrix[] = {
+  return {
       {"bit_flip", bit_flip},   {"truncate", truncate},
       {"bogus_length", bogus},  {"duplicate", duplicate},
       {"reorder", reorder},     {"mid_file_eof", eof},
       {"default_mix", FaultMix::default_mix()},
       {"everything", everything},
   };
+}
 
-  for (const auto& [name, mix] : matrix) {
+// The corruption matrix parity: every FaultInjector scenario, several
+// seeds, streamed-vs-mapped equality of deliveries, keys, and summed
+// taxonomy, plus the exact byte-accounting invariant on the sum.
+TEST(TraceCursor, CorruptionMatrixParityWithStreamedReader) {
+  const std::vector<std::byte> intact = build_trace(/*samples=*/140,
+                                                    /*batch=*/7);
+  for (const auto& [name, mix] : corruption_matrix()) {
     for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1337ULL}) {
       SCOPED_TRACE(std::string{name} + " seed " + std::to_string(seed));
       const FaultInjector injector{seed, mix};
@@ -328,6 +376,105 @@ TEST(TraceCursor, CorruptionMatrixParityWithStreamedReader) {
                       mapped.stats.bytes_skipped,
                   corrupted.size());
       }
+    }
+  }
+}
+
+// A reader never seeks: through a stream that refuses to, every
+// corruption scenario resynchronizes exactly like the mapped walk.
+TEST(TraceReader, NonSeekableStreamMatchesMappedWalk) {
+  const std::vector<std::byte> intact = build_trace(/*samples=*/1000,
+                                                    /*batch=*/16);
+  for (const auto& [name, mix] : corruption_matrix()) {
+    for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1337ULL}) {
+      SCOPED_TRACE(std::string{name} + " seed " + std::to_string(seed));
+      const FaultInjector injector{seed, mix};
+      std::vector<std::byte> corrupted;
+      ASSERT_TRUE(injector.corrupt(intact, corrupted));
+      const auto trace = MappedTrace::adopt(corrupted);
+      ASSERT_TRUE(trace.ok());
+      const Walk piped = piped_walk(corrupted);
+      expect_walks_equal(piped, mapped_walk(trace, 1));
+      EXPECT_EQ(kTraceHeaderBytes + piped.stats.bytes_delivered +
+                    piped.stats.bytes_skipped,
+                corrupted.size());
+    }
+  }
+}
+
+/// Record start offsets of a clean trace, in order.
+std::vector<std::uint64_t> record_starts(const std::vector<std::byte>& bytes) {
+  std::vector<std::uint64_t> starts;
+  for (std::uint64_t at = kTraceHeaderBytes; at + 4 <= bytes.size();
+       at += 4 + load_be32(bytes.data() + at)) {
+    starts.push_back(at);
+  }
+  return starts;
+}
+
+/// The last record starting at or before `offset`.
+std::size_t record_at(const std::vector<std::uint64_t>& starts,
+                      std::uint64_t offset) {
+  const auto it = std::upper_bound(starts.begin(), starts.end(), offset);
+  return static_cast<std::size_t>(it - starts.begin()) - 1;
+}
+
+// Traces several reader windows long, so the window refills many times:
+// a clean one, and a damaged one whose two resync scans each run across
+// a refill. A walk that meets no damage refills at the first record
+// start past kWindowBytes - 4 - kMaxDatagramBytes from the window's
+// base; a scan refills at the first candidate offset past it, and the
+// new window starts there.
+TEST(TraceReader, WindowRefillsMidResyncMatchMappedWalk) {
+  const std::vector<std::byte> clean = build_trace(/*samples=*/160'000,
+                                                   /*batch=*/16);
+  const std::uint64_t reach = TraceReader::kWindowBytes - 4 - kMaxDatagramBytes;
+  ASSERT_GT(clean.size(), 3 * TraceReader::kWindowBytes);
+  const auto starts = record_starts(clean);
+
+  // A bad length prefix on the record that straddles the first refill
+  // point, followed by a zero-filled hole (what a crash can leave in a
+  // preallocated file) longer than the lookahead: the scan from its
+  // start + 1 runs across the refill and past the end of the window the
+  // walk held before it.
+  std::vector<std::byte> damaged = clean;
+  const std::size_t bad = record_at(starts, reach);
+  ASSERT_GT(starts[bad + 1], reach);
+  damaged[starts[bad]] = std::byte{0xff};
+  constexpr std::uint64_t kHoleBytes = 3u << 19;  // 1.5 MiB
+  const auto hole =
+      damaged.begin() + static_cast<std::ptrdiff_t>(starts[bad] + 4);
+  std::fill(hole, hole + kHoleBytes, std::byte{0});
+  // That scan's refill rebases the window at reach + 1, so the second
+  // refill point is reach + 1 + reach. Cut the tail off the payload of
+  // the record straddling it: the decode fails, and the scan from its
+  // start + 1 runs to the next record, past the refill point.
+  const std::uint64_t second = 2 * reach + 1;
+  const std::size_t cut = record_at(starts, second);
+  constexpr std::uint64_t kCutBytes = 40;
+  ASSERT_GT(starts[cut], starts[bad] + 4 + kHoleBytes);
+  ASSERT_GT(starts[cut + 1] - kCutBytes, second);
+  const auto next =
+      damaged.begin() + static_cast<std::ptrdiff_t>(starts[cut + 1]);
+  damaged.erase(next - kCutBytes, next);
+
+  const std::vector<std::byte>* variants[] = {&clean, &damaged};
+  for (const auto* bytes : variants) {
+    SCOPED_TRACE(bytes == &clean ? "clean" : "damaged");
+    const auto trace = MappedTrace::adopt(*bytes);
+    ASSERT_TRUE(trace.ok());
+    const Walk piped = piped_walk(*bytes);
+    expect_walks_equal(piped, mapped_walk(trace, 1));
+    expect_walks_equal(streamed_walk(*bytes), mapped_walk(trace, 4));
+    EXPECT_EQ(kTraceHeaderBytes + piped.stats.bytes_delivered +
+                  piped.stats.bytes_skipped,
+              bytes->size());
+    if (bytes == &damaged) {
+      EXPECT_EQ(piped.stats.bad_length, 1u);
+      EXPECT_EQ(piped.stats.resyncs, 2u);
+    } else {
+      EXPECT_FALSE(piped.stats.degraded());
+      EXPECT_EQ(piped.stats.datagrams, starts.size());
     }
   }
 }

@@ -175,13 +175,15 @@ TEST(Trace, ReadRecordDeliversDatagramsWithMonotoneKeys) {
     for (std::uint32_t i = 0; i < 10; ++i) writer.write(make_sample(i));
   }
   TraceReader reader{buffer};
-  std::vector<FlowSample> record;
   std::uint64_t key = 0;
   std::uint64_t last_key = 0;
   std::uint32_t delivered = 0;
-  while (reader.read_record(record, key) > 0) {
+  for (auto record = reader.read_record(key); !record.empty();
+       record = reader.read_record(key)) {
     EXPECT_EQ(record.size(), delivered < 8 ? 4u : 2u);  // batches of 4
-    if (delivered > 0) EXPECT_GT(key, last_key);
+    if (delivered > 0) {
+      EXPECT_GT(key, last_key);
+    }
     last_key = key;
     for (const auto& sample : record) EXPECT_EQ(sample.sequence, delivered++);
   }

@@ -38,24 +38,6 @@ namespace fs = std::filesystem;
 constexpr int kFromWeek = 44;
 constexpr int kToWeek = 46;
 
-class OwnedWeekSource final : public ingest::IngestSource {
- public:
-  explicit OwnedWeekSource(std::vector<sflow::FlowSample> samples)
-      : samples_(std::move(samples)), span_(samples_, 512) {}
-
-  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
-    return span_.next_batch(out);
-  }
-  std::vector<std::unique_ptr<ingest::IngestSource>> split(
-      std::size_t want) override {
-    return span_.split(want);
-  }
-
- private:
-  std::vector<sflow::FlowSample> samples_;
-  ingest::SpanSource span_;
-};
-
 class StoreMergeTest : public ::testing::Test {
  public:
   static void SetUpTestSuite() {
@@ -90,7 +72,8 @@ class StoreMergeTest : public ::testing::Test {
 
   static WeeksRunner::SourceFactory source_factory() {
     return [](int week) -> std::unique_ptr<ingest::IngestSource> {
-      return std::make_unique<OwnedWeekSource>(week_samples_->at(week));
+      auto samples = week_samples_->at(week);
+      return std::make_unique<ingest::SpanSource>(std::move(samples), 512);
     };
   }
 

@@ -39,24 +39,6 @@ constexpr int kFromWeek = 44;
 constexpr int kToWeek = 47;
 constexpr int kWeekCount = kToWeek - kFromWeek + 1;
 
-class OwnedWeekSource final : public ingest::IngestSource {
- public:
-  explicit OwnedWeekSource(std::vector<sflow::FlowSample> samples)
-      : samples_(std::move(samples)), span_(samples_, 512) {}
-
-  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
-    return span_.next_batch(out);
-  }
-  std::vector<std::unique_ptr<ingest::IngestSource>> split(
-      std::size_t want) override {
-    return span_.split(want);
-  }
-
- private:
-  std::vector<sflow::FlowSample> samples_;
-  ingest::SpanSource span_;
-};
-
 class WeeksMapReduceTest : public ::testing::Test {
  public:
   static void SetUpTestSuite() {
@@ -91,7 +73,8 @@ class WeeksMapReduceTest : public ::testing::Test {
 
   static WeeksRunner::SourceFactory source_factory() {
     return [](int week) -> std::unique_ptr<ingest::IngestSource> {
-      return std::make_unique<OwnedWeekSource>(week_samples_->at(week));
+      auto samples = week_samples_->at(week);
+      return std::make_unique<ingest::SpanSource>(std::move(samples), 512);
     };
   }
 

@@ -35,26 +35,6 @@ namespace fs = std::filesystem;
 constexpr int kFromWeek = 44;
 constexpr int kToWeek = 46;
 
-/// Owns one generated week's samples and batches them through a
-/// SpanSource — the same adapter shape `ixpscope weeks` uses.
-class OwnedWeekSource final : public ingest::IngestSource {
- public:
-  explicit OwnedWeekSource(std::vector<sflow::FlowSample> samples)
-      : samples_(std::move(samples)), span_(samples_, 512) {}
-
-  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
-    return span_.next_batch(out);
-  }
-  std::vector<std::unique_ptr<ingest::IngestSource>> split(
-      std::size_t want) override {
-    return span_.split(want);
-  }
-
- private:
-  std::vector<sflow::FlowSample> samples_;
-  ingest::SpanSource span_;
-};
-
 class WeeksRunnerTest : public ::testing::Test {
  public:
   static void SetUpTestSuite() {
@@ -89,7 +69,8 @@ class WeeksRunnerTest : public ::testing::Test {
 
   static WeeksRunner::SourceFactory source_factory() {
     return [](int week) -> std::unique_ptr<ingest::IngestSource> {
-      return std::make_unique<OwnedWeekSource>(week_samples_->at(week));
+      auto samples = week_samples_->at(week);
+      return std::make_unique<ingest::SpanSource>(std::move(samples), 512);
     };
   }
 

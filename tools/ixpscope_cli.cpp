@@ -782,32 +782,6 @@ int cmd_diff(const Options& opt) {
   return 0;
 }
 
-/// An owning ingest::IngestSource over one generated week: holds the
-/// samples and delegates batching/splitting to a SpanSource, so the
-/// parallel engine consumes a synthetic week exactly like a trace.
-class GeneratedWeekSource final : public ingest::IngestSource {
- public:
-  GeneratedWeekSource(std::vector<sflow::FlowSample> samples,
-                      std::size_t batch_size)
-      : samples_(std::move(samples)), span_(samples_, batch_size) {}
-
-  ingest::SourceStatus next_batch(ingest::SampleBatch& out) override {
-    return span_.next_batch(out);
-  }
-  [[nodiscard]] sflow::ReaderStats stats() const override {
-    return span_.stats();
-  }
-  [[nodiscard]] bool ok() const override { return span_.ok(); }
-  std::vector<std::unique_ptr<ingest::IngestSource>> split(
-      std::size_t want) override {
-    return span_.split(want);
-  }
-
- private:
-  std::vector<sflow::FlowSample> samples_;
-  ingest::SpanSource span_;
-};
-
 /// The ingest-policy half of a snapshot's provenance record: the weeks
 /// pipeline consumes seeded generated weeks in fixed 512-sample batches,
 /// so the fingerprint names exactly that. Changing how weeks are fed
@@ -865,7 +839,7 @@ int cmd_weeks(const Options& opt) {
     std::vector<sflow::FlowSample> samples;
     world.workload->generate_week(
         week, [&](const sflow::FlowSample& s) { samples.push_back(s); });
-    return std::make_unique<GeneratedWeekSource>(std::move(samples), 512);
+    return std::make_unique<ingest::SpanSource>(std::move(samples), 512);
   };
   const auto fetcher_for = [&](int week) { return make_fetcher(world, week); };
 
