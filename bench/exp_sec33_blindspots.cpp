@@ -14,6 +14,7 @@
 #include "analysis/blind_spots.hpp"
 #include "dns/public_suffix.hpp"
 #include "exp_common.hpp"
+#include "probe/sweeps.hpp"
 
 int main(int argc, char** argv) {
   using namespace ixp;
@@ -27,7 +28,9 @@ int main(int argc, char** argv) {
   const auto probe_name = *dns::DnsName::parse("probe.ixpscope.net");
   probe_db.add_a(probe_name, net::Ipv4Addr{192, 0, 2, 1});
   const auto usable =
-      ctx.model->resolvers().usable_resolvers(probe_db, probe_name);
+      probe::ResolverSweep{}
+          .run(ctx.model->resolvers().all(), probe_db, probe_name)
+          .usable;
   std::cout << "resolver filtering: " << ctx.model->resolvers().size()
             << " candidates -> " << usable.size() << " usable in "
             << dns::ResolverPopulation::distinct_ases(usable)

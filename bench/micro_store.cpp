@@ -4,10 +4,16 @@
 //   build/bench/micro_store --json BENCH_store.json
 //
 // Cases:
-//   crc32c_1mib            raw checksum throughput (the per-byte floor
-//                          every save and open pays twice)
+//   crc32c_1mib            raw throughput of the dispatched checksum: the
+//                          SSE4.2 tier where CPUID reports it, the
+//                          slicing-by-four table walk under
+//                          IXPSCOPE_SIMD=scalar or IXPSCOPE_DISABLE_SIMD
+//                          (the JSON's simd_level stamp says which ran).
+//                          It is the per-byte floor a save pays once and
+//                          a resumed week twice (store scan, then load).
 //   encode_snapshot        build a sealed two-section image from payloads
-//                          shaped like a real week (shard + report)
+//                          shaped like a real week (shard + report): the
+//                          copy plus one CRC pass
 //   validate_image         full open-time validation of that image —
 //                          framing walk + every section CRC
 //   commit_open_roundtrip  the whole durable cycle against a real

@@ -11,6 +11,7 @@
 #include "core/vantage_point.hpp"
 #include "dns/public_suffix.hpp"
 #include "gen/workload.hpp"
+#include "probe/sweeps.hpp"
 #include "util/format.hpp"
 
 int main(int argc, char** argv) {
@@ -59,7 +60,8 @@ int main(int argc, char** argv) {
   dns::ZoneDatabase probe_db;
   const auto probe = *dns::DnsName::parse("probe.audit.net");
   probe_db.add_a(probe, net::Ipv4Addr{192, 0, 2, 1});
-  const auto usable = model.resolvers().usable_resolvers(probe_db, probe);
+  const auto usable =
+      probe::ResolverSweep{}.run(model.resolvers().all(), probe_db, probe).usable;
   std::cout << "\nusable resolvers: " << usable.size() << " of "
             << model.resolvers().size() << " candidates, in "
             << dns::ResolverPopulation::distinct_ases(usable) << " ASes\n";

@@ -6,7 +6,9 @@
 // resolvers, or provide incorrect answers)", ending with ~25K usable
 // resolvers across ~12K ASes. ResolverPopulation models the candidate set
 // with these behaviours; `usable_resolvers` performs the same filtering by
-// probing each candidate with a known query.
+// probing each candidate with a known query. Every shipped caller runs
+// that filter as probe::ResolverSweep; this synchronous form is its
+// oracle in the probe differential suite and in micro_probe.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "util/cpu_features.hpp"
+
 namespace ixp::store {
 
 namespace {
@@ -30,10 +32,28 @@ constexpr std::array<std::array<std::uint32_t, 256>, 4> build_tables() {
 
 constexpr auto kTables = build_tables();
 
+using Kernel = std::uint32_t (*)(std::span<const std::byte>,
+                                 std::uint32_t) noexcept;
+
+Kernel choose_kernel() noexcept {
+  if (util::CpuFeatures::detect().sse42 &&
+      util::CpuFeatures::active() != util::SimdLevel::kScalar)
+    return detail::crc32c_sse42;
+  return detail::crc32c_table;
+}
+
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::byte> data,
                      std::uint32_t crc) noexcept {
+  static const Kernel kernel = choose_kernel();
+  return kernel(data, crc);
+}
+
+namespace detail {
+
+std::uint32_t crc32c_table(std::span<const std::byte> data,
+                           std::uint32_t crc) noexcept {
   crc = ~crc;
   const std::byte* p = data.data();
   std::size_t n = data.size();
@@ -56,5 +76,7 @@ std::uint32_t crc32c(std::span<const std::byte> data,
   }
   return ~crc;
 }
+
+}  // namespace detail
 
 }  // namespace ixp::store

@@ -34,6 +34,21 @@ FilterCounters get_counters(wire::Reader& in) {
   return counters;
 }
 
+// The smallest wire size of one entry of each counted list. Decoders
+// reserve reader.reserve_hint(count, k...Bytes): a valid image is presized
+// exactly, and a forged count cannot ask for more entries than the unread
+// bytes could hold.
+constexpr std::size_t kPrefixBytes = 4 + 1;  // network, length
+constexpr std::size_t kAsnBytes = 4;
+constexpr std::size_t kStringBytes = 4;  // the length prefix of ""
+constexpr std::size_t kU64Bytes = 8;
+constexpr std::size_t kActivityBytes = 4 + 4 + 8 + 1;
+constexpr std::size_t kCountryBytes = 2 + 4 * 8;
+constexpr std::size_t kAsTallyBytes = 4 + 4 * 8;
+// addr, bytes, flags, has_asn, asn, country, two absent-name flags, and
+// the uri and cert-name counts.
+constexpr std::size_t kServerBytes = 4 + 8 + 1 + 1 + 4 + 2 + 1 + 1 + 4 + 4;
+
 // LocalityTally keeps its sets sorted and distinct, so they are written
 // as they stand, and a decoded set must be strictly ascending: duplicate
 // or out-of-order entries are damage, not a different spelling of the same
@@ -54,6 +69,7 @@ bool get_locality(wire::Reader& in, core::LocalityTally& tally) {
   tally.ips = in.u64();
   tally.bytes = in.f64();
   const std::uint32_t prefix_count = in.u32();
+  tally.prefixes.reserve(in.reserve_hint(prefix_count, kPrefixBytes));
   for (std::uint32_t i = 0; in.ok() && i < prefix_count; ++i) {
     const std::uint32_t network = in.u32();
     const std::uint8_t length = in.u8();
@@ -63,6 +79,7 @@ bool get_locality(wire::Reader& in, core::LocalityTally& tally) {
     tally.prefixes.push_back(prefix);
   }
   const std::uint32_t as_count = in.u32();
+  tally.ases.reserve(in.reserve_hint(as_count, kAsnBytes));
   for (std::uint32_t i = 0; in.ok() && i < as_count; ++i) {
     const net::Asn asn{in.u32()};
     if (!tally.ases.empty() && !(tally.ases.back() < asn)) return false;
@@ -78,9 +95,9 @@ void put_name_list(wire::Writer& out, const std::vector<dns::DnsName>& names) {
 
 bool get_name_list(wire::Reader& in, std::vector<dns::DnsName>& names) {
   const std::uint32_t count = in.u32();
-  names.reserve(count);
+  names.reserve(in.reserve_hint(count, kStringBytes));
   for (std::uint32_t i = 0; in.ok() && i < count; ++i) {
-    auto name = dns::DnsName::parse(in.str());
+    auto name = dns::DnsName::parse(in.view());
     if (!name) return false;
     names.push_back(std::move(*name));
   }
@@ -161,6 +178,7 @@ std::optional<core::WeekShard> SnapshotCodec::decode_shard(
   d.total_bytes_ = in.u64();
 
   const std::uint32_t activity_count = in.u32();
+  d.activity_.reserve(in.reserve_hint(activity_count, kActivityBytes));
   for (std::uint32_t i = 0; in.ok() && i < activity_count; ++i) {
     const net::Ipv4Addr addr{in.u32()};
     classify::IpActivity entry;
@@ -180,7 +198,7 @@ std::optional<core::WeekShard> SnapshotCodec::decode_shard(
     for (std::uint32_t j = 0; in.ok() && j < host_count; ++j) {
       TrafficDissector::HostObservation obs;
       obs.first_seq = in.u64();
-      obs.name.assign(in.str());
+      obs.name.assign(in.view());
       observations.push_back(obs);
     }
   }
@@ -339,6 +357,7 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
   report.server_countries = in.u64();
 
   const std::uint32_t country_count = in.u32();
+  report.by_country.reserve(in.reserve_hint(country_count, kCountryBytes));
   for (std::uint32_t i = 0; in.ok() && i < country_count; ++i) {
     const std::uint16_t packed = in.u16();
     const geo::CountryCode code{static_cast<char>(packed >> 8),
@@ -352,6 +371,7 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
   }
 
   const std::uint32_t as_count = in.u32();
+  report.by_as.reserve(in.reserve_hint(as_count, kAsTallyBytes));
   for (std::uint32_t i = 0; in.ok() && i < as_count; ++i) {
     const net::Asn asn{in.u32()};
     core::AsTally tally;
@@ -368,7 +388,7 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
     if (!get_locality(in, tally)) return std::nullopt;
 
   const std::uint32_t server_count = in.u32();
-  report.servers.reserve(server_count);
+  report.servers.reserve(in.reserve_hint(server_count, kServerBytes));
   for (std::uint32_t i = 0; in.ok() && i < server_count; ++i) {
     core::ServerObservation server;
     server.addr = net::Ipv4Addr{in.u32()};
@@ -388,19 +408,19 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
     classify::ServerMetadata& md = server.metadata;
     md.addr = server.addr;
     if (in.u8() != 0) {
-      auto name = dns::DnsName::parse(in.str());
+      auto name = dns::DnsName::parse(in.view());
       if (!name) return std::nullopt;
       md.hostname = std::move(*name);
     }
     if (in.u8() != 0) {
-      auto name = dns::DnsName::parse(in.str());
+      auto name = dns::DnsName::parse(in.view());
       if (!name) return std::nullopt;
       md.soa_authority = std::move(*name);
     }
     const std::uint32_t uri_count = in.u32();
-    md.uris.reserve(uri_count);
+    md.uris.reserve(in.reserve_hint(uri_count, kStringBytes));
     for (std::uint32_t j = 0; in.ok() && j < uri_count; ++j) {
-      auto uri = dns::Uri::parse(in.str());
+      auto uri = dns::Uri::parse(in.view());
       if (!uri) return std::nullopt;
       md.uris.push_back(std::move(*uri));
     }
@@ -410,7 +430,7 @@ std::optional<core::WeeklyReport> SnapshotCodec::decode_report(
 
   report.degraded = in.u8() != 0;
   const std::uint32_t error_count = in.u32();
-  report.worker_errors.reserve(error_count);
+  report.worker_errors.reserve(in.reserve_hint(error_count, kU64Bytes));
   for (std::uint32_t i = 0; in.ok() && i < error_count; ++i)
     report.worker_errors.push_back(in.u64());
 

@@ -63,6 +63,17 @@ std::uint32_t section_crc(std::uint32_t id, std::uint64_t length,
   return crc32c(payload, crc32c(std::span<const std::byte>{prefix, 12}));
 }
 
+#if IXPSCOPE_HAVE_POSIX_IO
+/// True when `path` still names the file open on `fd` (same device and
+/// inode), i.e. nobody unlinked or replaced it since it was opened.
+bool still_named(int fd, const std::string& path) noexcept {
+  struct stat held {};
+  struct stat named {};
+  return ::fstat(fd, &held) == 0 && ::stat(path.c_str(), &named) == 0 &&
+         held.st_dev == named.st_dev && held.st_ino == named.st_ino;
+}
+#endif
+
 }  // namespace
 
 const char* error_name(SnapshotError error) noexcept {
@@ -212,16 +223,29 @@ bool commit_snapshot(const std::string& path,
   };
 
 #if IXPSCOPE_HAVE_POSIX_IO
-  const int fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return fail("cannot create " + temp);
-
   // Ownership mark for concurrent scanners: while this lock is held, the
   // temp belongs to a live commit and scan() leaves it alone. The lock
   // dies with the descriptor — on any exit, including a crash mid-write
   // (a real kill drops the whole process; the simulated InjectedCrash
   // path closes the fd below) — at which point the orphan becomes
   // sweepable. Advisory is enough: every accessor is this codebase.
-  (void)::flock(fd, LOCK_EX | LOCK_NB);
+  //
+  // open() and flock() are two steps, and a scanner that opens the temp
+  // between them finds it unlocked, takes it for a crash orphan and
+  // unlinks it; the commit would then write into a nameless file and
+  // fail at rename. So the lock is taken blocking (a scanner holds it
+  // only across one unlink), and a temp whose name no longer leads to
+  // the locked file is created anew. On a filesystem without flock
+  // support the commit proceeds unowned.
+  int fd = -1;
+  for (;;) {
+    fd = ::open(temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0) return fail("cannot create " + temp);
+    int locked = ::flock(fd, LOCK_EX);
+    while (locked != 0 && errno == EINTR) locked = ::flock(fd, LOCK_EX);
+    if (locked != 0 || still_named(fd, temp)) break;
+    ::close(fd);
+  }
 
   const auto write_all = [&](std::span<const std::byte> bytes) {
     std::size_t done = 0;
@@ -458,17 +482,20 @@ std::span<const std::byte> SnapshotFile::section(std::uint32_t id) const noexcep
 }
 
 bool SnapshotStore::ensure_dir(std::string* error) const {
+  // Create first, then look: two runners launched on one fresh --dir both
+  // find it missing, and a check-then-create would fail the one whose
+  // mkdir loses. create_directories reports nothing wrong when the
+  // directory is already there; what counts is that it exists now.
+  std::error_code create_ec;
+  std::filesystem::create_directories(dir_, create_ec);
   std::error_code ec;
   if (std::filesystem::is_directory(dir_, ec)) return true;
-  if (std::filesystem::exists(dir_, ec)) {
-    if (error != nullptr) *error = dir_ + " exists and is not a directory";
-    return false;
+  if (error != nullptr) {
+    *error = std::filesystem::exists(dir_, ec)
+                 ? dir_ + " exists and is not a directory"
+                 : "cannot create " + dir_ + ": " + create_ec.message();
   }
-  if (!std::filesystem::create_directories(dir_, ec)) {
-    if (error != nullptr) *error = "cannot create " + dir_ + ": " + ec.message();
-    return false;
-  }
-  return true;
+  return false;
 }
 
 std::string SnapshotStore::path_for(int week) const {

@@ -122,11 +122,12 @@ WeeksResult WeeksRunner::run(const WeeksOptions& options,
     result.weeks.push_back(std::move(outcome));
   }
 
-  std::vector<core::WeeklyReport> reports;
-  reports.reserve(result.weeks.size());
-  for (const WeekOutcome& outcome : result.weeks)
-    reports.push_back(outcome.report);
-  result.longitudinal = analysis::summarize_longitudinal(reports);
+  // Fold the reports in place: summarize_longitudinal takes a contiguous
+  // span, which would cost a deep copy of every report.
+  analysis::LongitudinalFolder folder{result.weeks.front().week,
+                                      result.weeks.back().week};
+  for (const WeekOutcome& outcome : result.weeks) folder.observe(outcome.report);
+  result.longitudinal = folder.finish();
 
   result.ok = true;
   return result;

@@ -10,11 +10,12 @@
 // at the end (truncated or trailing bytes both fail).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -59,27 +60,18 @@ class Reader {
  public:
   explicit Reader(std::span<const std::byte> bytes) : bytes_(bytes) {}
 
-  [[nodiscard]] std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return std::to_integer<std::uint8_t>(bytes_[at_++]);
-  }
-  [[nodiscard]] std::uint16_t u16() {
-    const auto lo = u8();
-    return static_cast<std::uint16_t>(lo | (std::uint16_t{u8()} << 8));
-  }
-  [[nodiscard]] std::uint32_t u32() {
-    const auto lo = u16();
-    return lo | (std::uint32_t{u16()} << 16);
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    const auto lo = u32();
-    return lo | (std::uint64_t{u32()} << 32);
-  }
+  [[nodiscard]] std::uint8_t u8() { return load<std::uint8_t>(); }
+  [[nodiscard]] std::uint16_t u16() { return load<std::uint16_t>(); }
+  [[nodiscard]] std::uint32_t u32() { return load<std::uint32_t>(); }
+  [[nodiscard]] std::uint64_t u64() { return load<std::uint64_t>(); }
   [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-  [[nodiscard]] std::string str() {
+  /// A u32-length-prefixed string as a view into the span: no copy, valid
+  /// as long as the bytes the Reader was built over.
+  [[nodiscard]] std::string_view view() {
     const std::uint32_t n = u32();
     if (!need(n)) return {};
-    std::string out(reinterpret_cast<const char*>(bytes_.data() + at_), n);
+    const std::string_view out{
+        reinterpret_cast<const char*>(bytes_.data() + at_), n};
     at_ += n;
     return out;
   }
@@ -90,8 +82,33 @@ class Reader {
   [[nodiscard]] bool at_end() const noexcept {
     return ok_ && at_ == bytes_.size();
   }
+  /// A count field turned into a safe reserve hint: no more entries than
+  /// the unread bytes could hold at `min_entry_bytes` each. A count is
+  /// untrusted input (the CRC is no MAC), so it must never size an
+  /// allocation on its own; the decode loop still runs to `count` and
+  /// fails on the underrun.
+  [[nodiscard]] std::size_t reserve_hint(std::uint32_t count,
+                                         std::size_t min_entry_bytes) const
+      noexcept {
+    const std::size_t unread = ok_ ? bytes_.size() - at_ : 0;
+    return std::min<std::size_t>(count, unread / min_entry_bytes);
+  }
 
  private:
+  template <typename T>
+  [[nodiscard]] T load() {
+    if (!need(sizeof(T))) return 0;
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, bytes_.data() + at_, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(std::to_integer<T>(bytes_[at_ + i]) << (8 * i));
+    }
+    at_ += sizeof(T);
+    return v;
+  }
+
   [[nodiscard]] bool need(std::size_t n) {
     if (!ok_ || bytes_.size() - at_ < n) {
       ok_ = false;

@@ -6,6 +6,9 @@
 // is decided once per process from CPUID — never per call site — and
 // every caller routes through SimdLevel so a bench run, a test run, and
 // production all agree on what executed (the bench JSON stamps it).
+// The snapshot store's CRC-32C (store/crc32c.hpp) has a single hardware
+// tier: it runs the SSE4.2 `crc32` form when detect().sse42 holds and
+// active() is above kScalar.
 //
 // Two kill switches force the fallback paths:
 //   - compile time: -DIXPSCOPE_DISABLE_SIMD=ON (the CI no-SIMD job)

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -237,6 +238,40 @@ TEST(ReportCodec, LocalitySetsMustDecodeStrictlyAscending) {
   core::LocalityTally duplicated = sorted;
   duplicated.ases = {Asn{100}, Asn{100}};
   EXPECT_FALSE(decodes(duplicated).has_value());
+}
+
+// A sealed snapshot's CRC is no MAC: a buggy encoder or a hand-crafted
+// file carries a valid CRC over any count field. A count may steer how
+// far the decoder reads, never how much it allocates, so a huge one is
+// damage like any other: nullopt, not std::bad_alloc.
+TEST(ReportCodec, HugeCountsDecodeToNullopt) {
+  core::WeeklyReport report;
+  const auto before_servers = SnapshotCodec::encode_report(report);
+  core::ServerObservation server;
+  server.addr = net::Ipv4Addr{192, 0, 2, 7};
+  report.servers.push_back(server);
+  const auto bytes = SnapshotCodec::encode_report(report);
+  ASSERT_TRUE(SnapshotCodec::decode_report(bytes).has_value());
+
+  // The report ends: server count (u32), servers, degraded (u8), error
+  // count (u32). The lone server's record ends with its uri count and
+  // cert-name count (u32 each), both zero.
+  constexpr std::size_t kTrailer = 1 + 4;
+  const std::size_t server_count_at = before_servers.size() - kTrailer - 4;
+  const std::size_t cert_count_at = bytes.size() - kTrailer - 4;
+  const std::size_t uri_count_at = cert_count_at - 4;
+  const auto patched = [&](std::size_t at) {
+    auto image = bytes;
+    for (std::size_t i = 0; i < 4; ++i) image[at + i] = std::byte{0xFF};
+    return image;
+  };
+  for (const std::size_t at : {server_count_at, uri_count_at, cert_count_at}) {
+    SCOPED_TRACE(at);
+    const auto image = patched(at);
+    std::optional<core::WeeklyReport> decoded;
+    EXPECT_NO_THROW(decoded = SnapshotCodec::decode_report(image));
+    EXPECT_FALSE(decoded.has_value());
+  }
 }
 
 TEST(ProvenanceCodec, RoundTripPreservesEveryField) {

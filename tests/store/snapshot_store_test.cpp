@@ -15,11 +15,15 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "store/crc32c.hpp"
 #include "store/store_fault.hpp"
+#include "util/cpu_features.hpp"
+#include "util/rng.hpp"
 
 namespace ixp::store {
 namespace {
@@ -226,6 +230,92 @@ TEST(Crc32c, MatchesKnownVectorAndIsIncremental) {
   const auto split = crc32c(std::span{data}.subspan(7),
                             crc32c(std::span{data}.first(7)));
   EXPECT_EQ(whole, split);
+}
+
+// The dispatched CRC has two tiers (crc32c.hpp): the SSE4.2 instruction
+// and the slicing-by-four table walk. The table walk is the oracle; the
+// hardware tier must equal it on every length, alignment and split, or a
+// snapshot sealed on one machine fails validation on another.
+using CrcKernel = std::uint32_t (*)(std::span<const std::byte>,
+                                    std::uint32_t) noexcept;
+
+std::vector<std::byte> random_bytes(std::size_t size, std::uint64_t seed) {
+  util::Rng rng{seed};
+  std::vector<std::byte> bytes(size);
+  for (auto& b : bytes) b = static_cast<std::byte>(rng.next_below(256));
+  return bytes;
+}
+
+bool have_sse42() { return util::CpuFeatures::detect().sse42; }
+
+TEST(Crc32cDifferential, RfcVectorsOnBothTiers) {
+  std::vector<std::byte> zeros(32, std::byte{0x00});
+  std::vector<std::byte> ones(32, std::byte{0xFF});
+  std::vector<std::byte> ascending(32);
+  std::vector<std::byte> descending(32);
+  for (std::size_t i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::byte>(i);
+    descending[i] = static_cast<std::byte>(31 - i);
+  }
+  const auto check = [&](CrcKernel kernel, const char* tier) {
+    SCOPED_TRACE(tier);
+    EXPECT_EQ(kernel(zeros, 0), 0x8A9136AAu);
+    EXPECT_EQ(kernel(ones, 0), 0x62A8AB43u);
+    EXPECT_EQ(kernel(ascending, 0), 0x46DD794Eu);
+    EXPECT_EQ(kernel(descending, 0), 0x113FDB5Cu);
+  };
+  check(detail::crc32c_table, "table");
+  check(crc32c, "dispatched");
+  if (!have_sse42()) GTEST_SKIP() << "CPU lacks SSE4.2: hardware tier untested";
+  check(detail::crc32c_sse42, "sse4.2");
+}
+
+TEST(Crc32cDifferential, HardwareTierMatchesTableWalkAtEveryLengthAndOffset) {
+  if (!have_sse42()) GTEST_SKIP() << "CPU lacks SSE4.2: hardware tier untested";
+  // Lengths cross every 8-byte word/tail split; the offsets put the
+  // first word at every alignment.
+  const auto buffer = random_bytes(1100 + 8, 0xc2c32c01);
+  const std::span<const std::byte> all{buffer};
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 1100; ++length) {
+      const auto piece = all.subspan(offset, length);
+      ASSERT_EQ(detail::crc32c_sse42(piece, 0), detail::crc32c_table(piece, 0))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+  const auto large = random_bytes((std::size_t{1} << 20) + 7, 0xc2c32c02);
+  EXPECT_EQ(detail::crc32c_sse42(large, 0), detail::crc32c_table(large, 0));
+  EXPECT_EQ(detail::crc32c_sse42(large, 0), crc32c(large));
+}
+
+TEST(Crc32cDifferential, ContinuationAgreesAcrossTiers) {
+  const auto buffer = random_bytes(200, 0xc2c32c03);
+  const std::span<const std::byte> all{buffer};
+  std::vector<std::pair<CrcKernel, const char*>> tiers = {
+      {detail::crc32c_table, "table"}, {crc32c, "dispatched"}};
+  if (have_sse42()) tiers.emplace_back(detail::crc32c_sse42, "sse4.2");
+  const std::uint32_t whole = detail::crc32c_table(all, 0);
+  for (const auto& [kernel, tier] : tiers) {
+    SCOPED_TRACE(tier);
+    // A nonzero initial value is a continuation from earlier bytes.
+    for (const std::uint32_t seed : {0x1u, 0xDEADBEEFu, 0xFFFFFFFFu}) {
+      for (const std::size_t length : {0u, 1u, 7u, 8u, 9u, 63u, 200u})
+        EXPECT_EQ(kernel(all.first(length), seed),
+                  detail::crc32c_table(all.first(length), seed))
+            << "seed " << seed << ", length " << length;
+    }
+    // Split anywhere, in either tier order: the pieces chain to the whole.
+    for (std::size_t split = 0; split <= 64; ++split) {
+      const auto head = all.first(split);
+      const auto tail = all.subspan(split);
+      EXPECT_EQ(kernel(tail, kernel(head, 0)), whole) << "split " << split;
+      EXPECT_EQ(kernel(tail, detail::crc32c_table(head, 0)), whole)
+          << "split " << split;
+      EXPECT_EQ(detail::crc32c_table(tail, kernel(head, 0)), whole)
+          << "split " << split;
+    }
+  }
+  if (!have_sse42()) GTEST_SKIP() << "CPU lacks SSE4.2: hardware tier untested";
 }
 
 TEST(CommitSnapshot, RoundTripsThroughOpen) {

@@ -14,10 +14,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/process_pool.hpp"
@@ -87,6 +90,70 @@ TEST(StoreRace, LiveCommitTempSurvivesAConcurrentScan) {
   ASSERT_TRUE(second.readable) << second.error;
   EXPECT_EQ(second.stale_temps_removed, 1u);
   EXPECT_FALSE(fs::exists(temp));
+}
+
+TEST(StoreRace, CommitOutlivesAScanSweepingItsUnlockedTemp) {
+  const TempDir dir{"swept_temp"};
+  const SnapshotStore store{dir.path()};
+  std::string error;
+  ASSERT_TRUE(store.ensure_dir(&error)) << error;
+  const std::string path = store.path_for(5);
+  const auto image = test_image();
+
+  // The interleaving behind a racing runner's failed commit: the writer
+  // has open()ed its temp but not yet flock()ed it, and a scanner finds
+  // the temp unlocked, locks it, and sweeps it. Here the scanner already
+  // holds the lock on the writer's temp name when the commit starts, and
+  // unlinks it a moment later.
+  const std::string temp = path + ".tmp." + std::to_string(::getpid());
+  { std::ofstream out{temp, std::ios::binary}; out << "unlocked"; }
+  const int sweeper = ::open(temp.c_str(), O_RDONLY);
+  ASSERT_GE(sweeper, 0);
+  ASSERT_EQ(::flock(sweeper, LOCK_EX | LOCK_NB), 0);
+  std::atomic<bool> swept{false};
+  std::thread scanner{[&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::unlink(temp.c_str());
+    ::close(sweeper);
+    swept = true;
+  }};
+
+  // Whatever the writer holds by then must not be the swept file: the
+  // commit waits for the sweep to finish before it writes its second half.
+  CommitHooks hooks;
+  hooks.mid_temp_write = [&](const std::string&) {
+    while (!swept) std::this_thread::yield();
+  };
+  const bool committed = commit_snapshot(path, image, &error, &hooks);
+  scanner.join();
+  ASSERT_TRUE(committed) << error;
+  EXPECT_FALSE(fs::exists(temp));
+  const SnapshotFile file = SnapshotFile::open(path);
+  ASSERT_TRUE(file.ok()) << error_name(file.error());
+  EXPECT_TRUE(std::equal(image.begin(), image.end(), file.bytes().begin(),
+                         file.bytes().end()));
+}
+
+TEST(StoreRace, RunnersCreatingOneStoreDirectoryAllSucceed) {
+  const TempDir dir{"ensure_dir"};
+  fs::create_directories(dir.path());
+
+  // Two runners launched on one fresh --dir both find it missing and
+  // both create it; the one that loses the mkdir must still proceed.
+  // Each worker walks the same fresh paths in lockstep, so some pairs
+  // collide inside that window.
+  constexpr int kDirs = 200;
+  const auto statuses = core::ProcessPool::run(4, [&](int) -> int {
+    for (int i = 0; i < kDirs; ++i) {
+      const SnapshotStore store{dir.path() + "/store_" + std::to_string(i)};
+      std::string error;
+      if (!store.ensure_dir(&error)) return 1;
+    }
+    return 0;
+  });
+  for (const auto& status : statuses)
+    EXPECT_TRUE(status.ok()) << "worker " << status.worker << " exit "
+                             << status.exit_code;
 }
 
 TEST(StoreRace, OrphanedPidSuffixedTempIsSwept) {
