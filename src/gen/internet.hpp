@@ -14,8 +14,10 @@
 // real ground truth to be blind about.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -31,6 +33,7 @@
 #include "net/as_graph.hpp"
 #include "net/ipv4.hpp"
 #include "net/routing_table.hpp"
+#include "util/flat_hash_map.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 #include "x509/certificate.hpp"
@@ -74,6 +77,41 @@ struct AsRecord {
 struct PrefixRecord {
   net::Ipv4Prefix prefix;
   std::uint32_t as_index = 0;
+};
+
+/// The dense-AS fallback of server address allocation, resumable. It
+/// walks one AS's prefixes in a fixed order — every prefix's low quarter
+/// (offsets [1, quarter)), then every prefix's remainder ([quarter,
+/// size - 1)) — and returns the first address not `taken`. The cursor
+/// stays on the address it returns and only ever moves past taken ones,
+/// so while the taken set only grows, every call returns what a scan
+/// from the first prefix would, and a run of calls costs one walk of
+/// the space instead of one walk per call.
+class AddressScan {
+ public:
+  template <typename Taken>
+  [[nodiscard]] std::optional<net::Ipv4Addr> next_free(
+      std::span<const PrefixRecord> prefixes, Taken&& taken) {
+    for (; pass_ < 2; ++pass_, prefix_ = 0) {
+      for (; prefix_ < prefixes.size(); ++prefix_, offset_ = 0) {
+        const net::Ipv4Prefix prefix = prefixes[prefix_].prefix;
+        const std::uint64_t quarter =
+            std::max<std::uint64_t>(4, prefix.size() / 4);
+        const std::uint64_t begin = pass_ == 0 ? 1 : quarter;
+        const std::uint64_t end = pass_ == 0 ? quarter : prefix.size() - 1;
+        for (offset_ = std::max(offset_, begin); offset_ < end; ++offset_) {
+          const net::Ipv4Addr addr = prefix.address_at(offset_);
+          if (!taken(addr)) return addr;
+        }
+      }
+    }
+    return std::nullopt;
+  }
+
+ private:
+  std::uint32_t pass_ = 0;
+  std::size_t prefix_ = 0;
+  std::uint64_t offset_ = 0;
 };
 
 /// Server roles observed as ports: HTTP (80/8080), HTTPS (443), RTMP (1935).
@@ -280,7 +318,9 @@ class InternetModel {
   void build_sites(util::Rng& rng);
   void build_resolvers(util::Rng& rng);
 
-  /// Picks a host AS for a server of `org_index` (used during build).
+  /// A free address for a new server in AS `as_index` (used during
+  /// build): 64 random draws from its prefixes' low quarters, then its
+  /// resumable AddressScan.
   [[nodiscard]] net::Ipv4Addr allocate_server_addr(std::uint32_t as_index,
                                                    util::Rng& rng);
 
@@ -303,7 +343,7 @@ class InternetModel {
   dns::ResolverPopulation resolvers_;
   x509::RootStore roots_;
   std::vector<Site> sites_;
-  std::unordered_map<net::Ipv4Addr, std::uint32_t> server_index_;
+  util::FlatHashMap<net::Ipv4Addr, std::uint32_t> server_index_;
   std::unordered_map<std::string, std::uint32_t> org_index_;
   std::unordered_map<std::uint32_t, x509::CertificateChain> cert_chains_;  // server -> chain
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> content_servers_;
@@ -317,6 +357,7 @@ class InternetModel {
   std::size_t visible_server_count_ = 0;
   std::vector<std::uint64_t> as_capacity_;   // usable addresses per AS
   std::vector<std::uint64_t> as_allocated_;  // servers placed per AS
+  std::vector<AddressScan> as_scans_;        // dense-AS fallback cursors
   std::unordered_map<net::Asn, std::uint32_t> asn_index_;
   std::unordered_set<std::uint32_t> used_asns_;
   std::size_t member_end_ = 0;  // ases_[0, member_end_) hold the members

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "geo/country.hpp"
 #include "net/flat_lpm.hpp"
@@ -22,6 +23,15 @@ namespace ixp::geo {
 
 class GeoDatabase {
  public:
+  GeoDatabase() = default;
+
+  /// Builds the whole database in one bulk pass (net::FlatLpm's list
+  /// constructor). Equal to assigning `entries` in order: a prefix
+  /// listed twice keeps its later country.
+  explicit GeoDatabase(
+      std::span<const std::pair<net::Ipv4Prefix, CountryCode>> entries)
+      : lpm_(entries) {}
+
   /// Registers a prefix's country (overwrites on re-registration).
   void assign(net::Ipv4Prefix prefix, CountryCode country);
 

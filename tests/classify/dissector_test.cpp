@@ -24,7 +24,10 @@ void ingest(TrafficDissector& d, Ipv4Addr src, Ipv4Addr dst,
   spec.src_port = src_port;
   spec.dst_port = dst_port;
   std::vector<std::byte> data(payload.size());
-  std::memcpy(data.data(), payload.data(), payload.size());
+  // An empty vector's data() may be null, and memcpy from or to null is
+  // undefined even for zero bytes.
+  if (!payload.empty())
+    std::memcpy(data.data(), payload.data(), payload.size());
   const sflow::SampledFrame frame =
       sflow::build_tcp_frame(spec, data, payload.size());
   PeeringSample sample;

@@ -58,7 +58,9 @@ class VantagePointTest : public ::testing::Test {
     spec.frame_length = wire_len;
     const std::size_t len = std::strlen(payload);
     std::vector<std::byte> data(len);
-    std::memcpy(data.data(), payload, len);
+    // An empty vector's data() may be null, and memcpy from or to null
+    // is undefined even for zero bytes.
+    if (len != 0) std::memcpy(data.data(), payload, len);
     sflow::FlowSample s;
     s.sampling_rate = 1000;  // expanded = wire_len * 1000
     s.frame = sflow::build_tcp_frame(spec, data, std::max<std::size_t>(len, 1));

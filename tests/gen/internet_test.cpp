@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace ixp::gen {
 namespace {
@@ -103,6 +106,62 @@ TEST(InternetModel, ServerAddressesAreUniqueAndRouted) {
     ASSERT_TRUE(origin);
     EXPECT_EQ(*origin, m.ases()[server.host_as].asn);
   }
+}
+
+// ---- the dense-AS address scan ------------------------------------------
+
+/// Four /24s: 4 x 63 low-quarter addresses, then 4 x 191 in the rest.
+std::vector<PrefixRecord> dense_as_prefixes() {
+  std::vector<PrefixRecord> prefixes;
+  for (std::uint8_t i = 0; i < 4; ++i)
+    prefixes.push_back(
+        PrefixRecord{net::Ipv4Prefix{net::Ipv4Addr{10, 0, i, 0}, 24}, 0});
+  return prefixes;
+}
+
+TEST(AddressScan, ResumedScanEqualsAScanFromTheStart) {
+  // Other allocators take addresses between calls (random hits, other
+  // ASes over a shared prefix); the resumed scan still returns exactly
+  // what a scan from the first prefix returns, until the space runs out.
+  const auto prefixes = dense_as_prefixes();
+  std::unordered_set<net::Ipv4Addr> taken;
+  const auto is_taken = [&](net::Ipv4Addr a) { return taken.count(a) != 0; };
+  util::Rng rng{7};
+  AddressScan resumed;
+  std::size_t allocated = 0;
+  while (true) {
+    for (int i = 0; i < 2; ++i)
+      taken.insert(prefixes[rng.next_below(4)].prefix.address_at(
+          rng.next_below(256)));
+    const auto from_start = AddressScan{}.next_free(prefixes, is_taken);
+    const auto next = resumed.next_free(prefixes, is_taken);
+    ASSERT_EQ(next, from_start) << "allocation " << allocated;
+    if (!next) break;
+    EXPECT_TRUE(taken.insert(*next).second);
+    ++allocated;
+  }
+  EXPECT_GT(allocated, 400u);
+  EXPECT_FALSE(resumed.next_free(prefixes, is_taken).has_value());
+}
+
+TEST(AddressScan, FillingADenseAsProbesEachAddressAboutOnce) {
+  // Filling the AS one server at a time used to rescan from the first
+  // prefix on every call: ~n^2/2 probes for n addresses. Resumed, each
+  // address is probed when the cursor passes it and once more when the
+  // call after its allocation starts on it.
+  const auto prefixes = dense_as_prefixes();
+  constexpr std::size_t kSpace = 4 * 63 + 4 * (255 - 64);
+  std::unordered_set<net::Ipv4Addr> taken;
+  std::size_t probes = 0;
+  const auto is_taken = [&](net::Ipv4Addr a) {
+    ++probes;
+    return taken.count(a) != 0;
+  };
+  AddressScan scan;
+  while (const auto next = scan.next_free(prefixes, is_taken))
+    taken.insert(*next);
+  EXPECT_EQ(taken.size(), kSpace);
+  EXPECT_LE(probes, 2 * kSpace);
 }
 
 TEST(InternetModel, ServerLookupRoundTrips) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace ixp::geo {
 namespace {
 
@@ -40,6 +43,21 @@ TEST(GeoDatabase, RegionBuckets) {
   db.assign(Ipv4Prefix{Ipv4Addr{20, 0, 0, 0}, 8}, CountryCode{'F', 'R'});
   EXPECT_EQ(db.region_of(Ipv4Addr(10, 0, 0, 1)), Region::kRU);
   EXPECT_EQ(db.region_of(Ipv4Addr(20, 0, 0, 1)), Region::kRoW);
+}
+
+TEST(GeoDatabase, BulkConstructorKeepsTheLaterCountryOfARepeat) {
+  const Ipv4Prefix wide{Ipv4Addr{10, 0, 0, 0}, 8};
+  const Ipv4Prefix narrow{Ipv4Addr{10, 5, 0, 0}, 16};
+  const std::vector<std::pair<Ipv4Prefix, CountryCode>> entries{
+      {narrow, CountryCode{'C', 'N'}},
+      {wide, CountryCode{'D', 'E'}},
+      {narrow, CountryCode{'R', 'U'}},  // re-assigned
+  };
+  const GeoDatabase db{entries};
+  EXPECT_EQ(db.prefix_count(), 2u);
+  EXPECT_EQ(db.country_of(Ipv4Addr(10, 5, 9, 9)), (CountryCode{'R', 'U'}));
+  EXPECT_EQ(db.country_of(Ipv4Addr(10, 6, 9, 9)), (CountryCode{'D', 'E'}));
+  EXPECT_FALSE(db.country_of(Ipv4Addr(11, 0, 0, 1)).has_value());
 }
 
 }  // namespace

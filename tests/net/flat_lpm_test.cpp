@@ -3,13 +3,16 @@
 // — overlapping prefixes, the full /0–/32 length range, default routes,
 // overwriting inserts, inserts interleaved with batch lookups, address
 // sweeps across prefix boundaries, and the top array forced onto 4 KiB
-// pages.
+// pages — and the bulk list constructor held to inserting the same list
+// in order, duplicates with differing payloads included.
 #include "net/flat_lpm.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "net/prefix_trie.hpp"
@@ -313,6 +316,145 @@ TEST(FlatLpmDifferential, AddressSweepAcrossBoundaries) {
     const Ipv4Addr addr{base + offset};
     ASSERT_EQ(flat.lookup(addr), trie.lookup(addr)) << "addr " << addr.value();
   }
+}
+
+// ---- bulk build versus incremental inserts ------------------------------
+
+using Entries = std::vector<std::pair<Ipv4Prefix, std::uint32_t>>;
+
+/// Entries over `corpus`'s prefixes (which already nest: every fourth
+/// reuses an earlier network at a random length), with every fifth entry
+/// re-listing an earlier prefix under a fresh payload.
+Entries with_duplicates(const Corpus& corpus, std::uint64_t seed) {
+  util::Rng rng{seed};
+  Entries entries;
+  for (std::size_t i = 0; i < corpus.prefixes.size(); ++i) {
+    Ipv4Prefix prefix = corpus.prefixes[i];
+    if (i % 5 == 4) prefix = entries[rng() % entries.size()].first;
+    entries.emplace_back(prefix, static_cast<std::uint32_t>(i));
+  }
+  return entries;
+}
+
+/// Builds `entries` both ways and holds the bulk table to the incremental
+/// one: size, spill blocks, footprint, for_each order, find_exact on every
+/// listed prefix (and on absent ones), and every lookup form on `probes`.
+void expect_bulk_matches_inserts(const Entries& entries,
+                                 std::span<const Ipv4Addr> probes) {
+  FlatLpm<std::uint32_t> incremental;
+  for (const auto& [prefix, value] : entries) incremental.insert(prefix, value);
+  const FlatLpm<std::uint32_t> bulk{entries};
+
+  ASSERT_EQ(bulk.size(), incremental.size());
+  ASSERT_EQ(bulk.spill_blocks(), incremental.spill_blocks());
+  ASSERT_EQ(bulk.footprint_bytes(), incremental.footprint_bytes());
+
+  Entries from_bulk;
+  Entries from_incremental;
+  bulk.for_each(
+      [&](Ipv4Prefix p, std::uint32_t v) { from_bulk.emplace_back(p, v); });
+  incremental.for_each([&](Ipv4Prefix p, std::uint32_t v) {
+    from_incremental.emplace_back(p, v);
+  });
+  ASSERT_EQ(from_bulk, from_incremental);
+
+  for (const auto& [prefix, value] : entries) {
+    const std::uint32_t* hit = bulk.find_exact(prefix);
+    ASSERT_NE(hit, nullptr);
+    ASSERT_EQ(*hit, *incremental.find_exact(prefix));
+    if (prefix.length() < 32) {
+      const Ipv4Prefix longer{prefix.network(),
+                              static_cast<std::uint8_t>(prefix.length() + 1)};
+      ASSERT_EQ(bulk.find_exact(longer) == nullptr,
+                incremental.find_exact(longer) == nullptr);
+    }
+  }
+
+  std::vector<const std::uint32_t*> batch(probes.size());
+  bulk.lookup_batch(probes, batch);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    const Ipv4Addr addr = probes[i];
+    ASSERT_EQ(bulk.lookup(addr), incremental.lookup(addr))
+        << "addr " << addr.value();
+    ASSERT_EQ(bulk.lookup_prefix(addr), incremental.lookup_prefix(addr))
+        << "addr " << addr.value();
+    ASSERT_EQ(batch[i], bulk.lookup_ptr(addr)) << "probe " << i;
+  }
+}
+
+TEST(FlatLpmDifferential, BulkBuildFullLengthRangeWithDuplicates) {
+  for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    const Corpus corpus = make_corpus(seed, 1500, 4000, 0, 32);
+    expect_bulk_matches_inserts(with_duplicates(corpus, seed), corpus.probes);
+  }
+}
+
+TEST(FlatLpmDifferential, BulkBuildSpillHeavyWithDuplicates) {
+  // /25–/32 only: every prefix lands in a spill block, and duplicates
+  // retarget spill entries.
+  for (const std::uint64_t seed : {44u, 45u}) {
+    const Corpus corpus = make_corpus(seed, 1000, 4000, 25, 32);
+    expect_bulk_matches_inserts(with_duplicates(corpus, seed), corpus.probes);
+  }
+}
+
+TEST(FlatLpmDifferential, BulkBuildNestedChainsOfEveryLength) {
+  // Each chain lists /0 through /32 over one address in shuffled order,
+  // some lengths twice under different payloads; every address of the
+  // chain's /16 is probed, so every nesting boundary is crossed.
+  util::Rng rng{46};
+  Entries entries;
+  std::vector<Ipv4Addr> probes;
+  for (int chain = 0; chain < 4; ++chain) {
+    const Ipv4Addr base{static_cast<std::uint32_t>(rng())};
+    std::vector<std::uint8_t> lengths;
+    for (std::uint8_t len = 0; len <= 32; ++len) lengths.push_back(len);
+    for (int twice = 0; twice < 8; ++twice)
+      lengths.push_back(static_cast<std::uint8_t>(rng.next_in(0, 32)));
+    for (std::size_t i = lengths.size(); i > 1; --i)
+      std::swap(lengths[i - 1], lengths[rng.next_below(i)]);
+    for (const std::uint8_t len : lengths)
+      entries.emplace_back(Ipv4Prefix{base, len},
+                           static_cast<std::uint32_t>(entries.size()));
+    const std::uint32_t block = base.value() & 0xFFFF0000u;
+    for (std::uint32_t offset = 0; offset < (1u << 16); ++offset)
+      probes.emplace_back(block + offset);
+  }
+  expect_bulk_matches_inserts(entries, probes);
+}
+
+TEST(FlatLpmDifferential, BulkBuildRoutingShapedTable) {
+  // /8–/24 only, the world's shape: pure top-array coverage.
+  const Corpus corpus = make_corpus(47, 3000, 4000, 8, 24);
+  expect_bulk_matches_inserts(with_duplicates(corpus, 47), corpus.probes);
+}
+
+TEST(FlatLpmDifferential, BulkBuildThenInsertsMatchAllInserts) {
+  // A bulk-built table stays a normal table: further inserts (fresh,
+  // nested and re-listed prefixes) land exactly as on the incremental one.
+  const Corpus corpus = make_corpus(48, 2000, 4000, 0, 32);
+  const Entries all = with_duplicates(corpus, 48);
+  const Entries head(all.begin(), all.begin() + 1200);
+  FlatLpm<std::uint32_t> bulk{head};
+  FlatLpm<std::uint32_t> incremental;
+  for (const auto& [prefix, value] : all) incremental.insert(prefix, value);
+  for (std::size_t i = head.size(); i < all.size(); ++i)
+    bulk.insert(all[i].first, all[i].second);
+  ASSERT_EQ(bulk.size(), incremental.size());
+  for (const Ipv4Addr addr : corpus.probes)
+    ASSERT_EQ(bulk.lookup_prefix(addr), incremental.lookup_prefix(addr))
+        << "addr " << addr.value();
+}
+
+TEST(FlatLpmDifferential, BulkBuildEmptyListAllocatesNothing) {
+  const FlatLpm<std::uint32_t> bulk{Entries{}};
+  EXPECT_EQ(bulk.size(), 0u);
+  EXPECT_EQ(bulk.footprint_bytes(), 0u);
+  EXPECT_EQ(bulk.lookup_ptr(Ipv4Addr{1, 2, 3, 4}), nullptr);
+  const std::vector<Ipv4Addr> probes{Ipv4Addr{0u}, Ipv4Addr{0xFFFFFFFFu}};
+  std::vector<const std::uint32_t*> batch(probes.size(), nullptr);
+  bulk.lookup_batch(probes, batch);
+  EXPECT_EQ(batch, (std::vector<const std::uint32_t*>{nullptr, nullptr}));
 }
 
 }  // namespace
